@@ -43,6 +43,8 @@ class ComponentDecl:
     cprogram: Optional[CProgram] = None
     debug_info: Optional[DebugInfo] = None
     service_symbols: Dict[str, str] = field(default_factory=dict)
+    #: canonical → mangled function names (services and helpers)
+    symbols: Dict[str, str] = field(default_factory=dict)
 
     kind = "component"
 

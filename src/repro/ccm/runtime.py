@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cminus.debuginfo import DebugInfo
+from ..cminus.frontend import compile_unit
 from ..cminus.interp import CostModel, Environment, Interpreter
-from ..cminus.parser import parse_program
-from ..cminus.sema import ActorContext, analyze
+from ..cminus.sema import ActorContext
 from ..cminus.typesys import STRING, U32
 from ..errors import CMinusRuntimeError
 from ..p2012.soc import P2012Platform
@@ -87,6 +87,7 @@ class ComponentInst:
             env=self.env,
             cost=CostModel(default_stmt=resource.cycles_per_stmt),
             name=self.qualname,
+            symbols=decl.symbols,
         )
 
     @property
@@ -204,24 +205,24 @@ class AssemblyRuntime:
                 continue
             filename = decl.source_name or f"{decl.name}.c"
             decl.source_name = filename
-            program = parse_program(decl.source, filename)
-            mapping = {}
-            prefix = mangle_helper_prefix(decl.name)
+            ctx = ActorContext(kind="component")
+            ctx.extra_intrinsics["CALL"] = (U32, (STRING, U32), set(decl.requires))
+            unit = compile_unit(decl.source, filename, ctx)
+            program = unit.program
             for svc in decl.provides:
                 if program.function(f"serve_{svc}") is None:
                     raise CcmError(f"component {decl.name}: no serve_{svc}() in its source")
-            for f in program.functions:
-                if f.name.startswith("serve_") and f.name[6:] in decl.provides:
-                    mapping[f.name] = mangle_service_symbol(decl.name, f.name[6:])
-                else:
-                    mapping[f.name] = prefix + f.name
-            from ..pedf.compile import _rename_functions
-
-            _rename_functions(program, mapping)
-            ctx = ActorContext(kind="component")
-            ctx.extra_intrinsics["CALL"] = (U32, (STRING, U32), set(decl.requires))
-            decl.debug_info = analyze(program, ctx, decl.source)
+            prefix = mangle_helper_prefix(decl.name)
+            decl.symbols = {
+                f.name: (
+                    mangle_service_symbol(decl.name, f.name[6:])
+                    if f.name.startswith("serve_") and f.name[6:] in decl.provides
+                    else prefix + f.name
+                )
+                for f in program.functions
+            }
             decl.cprogram = program
+            decl.debug_info = unit.view(decl.symbols)
             decl.service_symbols = {
                 svc: mangle_service_symbol(decl.name, svc) for svc in decl.provides
             }

@@ -7,7 +7,7 @@ after semantic analysis, expressions carry ``ctype`` (their static type).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .typesys import CType
 
@@ -244,9 +244,18 @@ class Program(Node):
     structs: List[StructDef] = field(default_factory=list)
     globals: List[GlobalDecl] = field(default_factory=list)
     functions: List[FuncDef] = field(default_factory=list)
+    #: name → definition, built on the first lookup (the parser is the
+    #: only writer of ``functions``, and nothing renames a definition
+    #: after it, so the index never goes stale)
+    _index: Optional[Dict[str, FuncDef]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def function(self, name: str) -> Optional[FuncDef]:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        index = self._index
+        if index is None:
+            index = {}
+            for f in self.functions:
+                index.setdefault(f.name, f)
+            self._index = index
+        return index.get(name)

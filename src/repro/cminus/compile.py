@@ -736,14 +736,14 @@ def _compile_trap(arg_es: List[_E]) -> _E:
 def _call(interp, cf: "_CompiledFunction", args: List, call_line: int):
     """Fast-tier activation: mirrors ``Interpreter._call_user`` exactly
     (frame shape, hook elision, cost charging, return protocol)."""
-    func = cf.func
+    func, fsym = interp._defs[cf.name]
     if len(args) != cf.nparams:
         raise CMinusRuntimeError(
             f"{func.name}() expects {cf.nparams} args, got {len(args)}"
         )
     frame = Frame(
         func,
-        cf.fsym(interp),
+        fsym,
         len(interp.frames),
         func.line,
         call_line,
@@ -787,14 +787,14 @@ def _call(interp, cf: "_CompiledFunction", args: List, call_line: int):
 
 def _call_sync(interp, cf: "_CompiledFunction", args: List, call_line: int):
     """Pure-mode activation: no hooks, no cost, no suspension."""
-    func = cf.func
+    func, fsym = interp._defs[cf.name]
     if len(args) != cf.nparams:
         raise CMinusRuntimeError(
             f"{func.name}() expects {cf.nparams} args, got {len(args)}"
         )
     frame = Frame(
         func,
-        cf.fsym(interp),
+        fsym,
         len(interp.frames),
         func.line,
         call_line,
@@ -1388,7 +1388,6 @@ def _no_locals(args):
 class _CompiledFunction:
     __slots__ = (
         "func", "name", "params", "nparams", "mk_locals", "void", "body",
-        "_fsym", "_fsym_di",
     )
 
     def __init__(self, func: ast.FuncDef, body: _S):
@@ -1398,8 +1397,6 @@ class _CompiledFunction:
         self.nparams = len(self.params)
         self.void = isinstance(func.ret, VoidType)
         self.body = body
-        self._fsym = None
-        self._fsym_di = None
         if self.nparams == 0:
             self.mk_locals = _no_locals
         elif self.nparams == 1:
@@ -1415,16 +1412,6 @@ class _CompiledFunction:
                     for (nm, ct, conv), a in zip(params, args)
                 }
             self.mk_locals = mkn
-
-    def fsym(self, interp):
-        # One-entry memo: every frame of a given interpreter resolves the
-        # same debug-info symbol, and units are shared across interpreters
-        # of one Program, so key on the DebugInfo identity.
-        di = interp.debug_info
-        if di is not self._fsym_di:
-            self._fsym_di = di
-            self._fsym = di.functions.get(self.name)
-        return self._fsym
 
     def ret_default(self, ctype):
         if isinstance(ctype, IntType):
@@ -1461,7 +1448,8 @@ class CompiledUnit:
 
 def compiled_unit(program: ast.Program) -> CompiledUnit:
     """The program's memoized :class:`CompiledUnit` (all interpreters of
-    the same Program — e.g. replay re-executions — share one)."""
+    the same Program — every instance of one source, and replay
+    re-executions — share one)."""
     cu = getattr(program, "_compiled_unit_cache", None)
     if cu is None:
         cu = CompiledUnit(program)

@@ -12,7 +12,7 @@ API.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .typesys import CType, StructType
@@ -106,6 +106,16 @@ class DebugInfo:
     def match_functions(self, substring: str) -> List[FunctionSymbol]:
         """Symbols whose (possibly mangled) name contains ``substring``."""
         return [f for n, f in sorted(self.functions.items()) if substring in n]
+
+    def renamed(self, symbols: Dict[str, str]) -> "DebugInfo":
+        """A view whose function symbols carry the names ``symbols`` maps
+        them to (canonical → mangled, paper §VI-F).  Structs, globals, the
+        line table and sources are shared, not copied."""
+        functions = {}
+        for name, fsym in self.functions.items():
+            mangled = symbols.get(name, name)
+            functions[mangled] = replace(fsym, name=mangled)
+        return DebugInfo(functions, self.structs, self.globals, self.line_table, self.sources)
 
     def merge(self, other: "DebugInfo") -> None:
         self.functions.update(other.functions)

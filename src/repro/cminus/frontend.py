@@ -1,41 +1,54 @@
-"""Front-end memoization: lex/parse/sema results keyed by source digest.
+"""Front-end memoization: one lex/parse/sema per distinct compilation.
 
-Rebuilding an application — which record/replay does on **every**
-``replay to`` / ``reverse-continue`` and which timeline forks repeat many
-times over — used to pay the full Filter-C front-end cost (tokenize,
-parse, semantic analysis, debug-info construction) for every actor source
-on every rebuild.  The front end is deterministic: the same source text
-compiled under the same compilation context always produces the same
-typed AST and debug info.  This module memoizes that mapping.
+Actor sources are compiled at every elaboration — and record/replay
+rebuilds the whole application on **every** ``replay to`` /
+``reverse-continue``, and timeline forks repeat that many times over.
+The front end is deterministic: the same source text compiled under the
+same compilation context always produces the same typed AST and debug
+info.  This module memoizes that mapping.
 
 The cache key is a SHA-256 digest over everything that can influence the
-front end's output:
+analysed program:
 
 - the source text and filename (filenames appear in debug info and
   runtime error messages);
-- the symbol-mangling plan (PEDF renames ``work`` and helper functions
-  per actor, mutating the AST *before* sema — two actors with identical
-  sources but different mangles must not share an entry);
 - the full :class:`~repro.cminus.sema.ActorContext` signature: kind,
   interface directions/types, data/attribute types, shared struct
-  layouts, controller actor names and extra intrinsics.
+  layouts, controller actor names and extra intrinsics;
+- the execution tier (a Program accretes that tier's compiled unit).
 
-Cached entries hold the *analyzed* program and its
-:class:`~repro.cminus.debuginfo.DebugInfo`.  Both are treated as
-immutable after sema (interpreters copy global values at init and never
-mutate the AST), so a hit can be shared across actors and replay
-re-executions — which also lets them share the closure-compiled unit
-memoized on the Program (see :mod:`repro.cminus.compile`).
+Per-instance symbol names are *not* part of the key.  Programs are
+analysed under their source's own function names; PEDF and CCM mangling
+(paper §VI-F) is a canonical → mangled symbol map per actor, applied
+where a name leaves the interpreter (frames, debug info, messages).  So
+every actor compiled from the same key — the 900 identical filters of
+the synthetic graph, or one instance rebuilt for replay — shares one
+:class:`FrontendResult`: the analysed :class:`~repro.cminus.ast.Program`,
+its canonical :class:`~repro.cminus.debuginfo.DebugInfo`, the tier units
+memoized on the Program (closure ``CompiledUnit``, ``VmUnit``) and the
+re-keyed debug-info views of each symbol map.  All of it is immutable
+after sema (interpreters copy global values at init and never mutate
+the AST), and :meth:`FrontendCache.clear` drops every piece of it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .ast import Program
+from .debuginfo import DebugInfo
+from .parser import parse_program
+from .sema import ActorContext, analyze
 from .typesys import ArrayType, CType, StructType
 
-__all__ = ["FrontendCache", "frontend_cache", "type_signature"]
+__all__ = [
+    "FrontendCache",
+    "FrontendResult",
+    "compile_unit",
+    "frontend_cache",
+    "type_signature",
+]
 
 
 def type_signature(ct: Optional[CType]) -> str:
@@ -112,3 +125,62 @@ class FrontendCache:
 
 #: the process-wide cache instance every front-end consumer shares
 frontend_cache = FrontendCache()
+
+
+class FrontendResult:
+    """One cache entry: what every actor compiled from one key shares."""
+
+    __slots__ = ("program", "debug_info", "_views")
+
+    def __init__(self, program: Program, debug_info: DebugInfo) -> None:
+        self.program = program
+        #: canonical debug info (function symbols under source names)
+        self.debug_info = debug_info
+        self._views: Dict[Tuple[Tuple[str, str], ...], DebugInfo] = {}
+
+    def view(self, symbols: Dict[str, str]) -> DebugInfo:
+        """The debug info as an actor with ``symbols`` (canonical →
+        mangled) names it.  Equal maps — e.g. one instance rebuilt for
+        replay — get the same view object."""
+        key = tuple(sorted(symbols.items()))
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self.debug_info.renamed(symbols)
+        return view
+
+
+def _context_salt(ctx: ActorContext, tier: str = "auto") -> List[str]:
+    """Everything beyond the source text that can change the front end's
+    output: the full compilation context, and the execution tier (cached
+    Program objects carry tier-specific unit caches, so runs on different
+    tiers must not share them)."""
+    salt = [ctx.kind, f"tier:{tier}"]
+    salt.extend(
+        f"iface:{s.name}:{s.direction}:{type_signature(s.ctype)}"
+        for s in sorted(ctx.ifaces.values(), key=lambda s: s.name)
+    )
+    salt.extend(f"data:{nm}:{type_signature(ct)}" for nm, ct in sorted(ctx.data.items()))
+    salt.extend(f"attr:{nm}:{type_signature(ct)}" for nm, ct in sorted(ctx.attributes.items()))
+    salt.extend(f"struct:{type_signature(ct)}" for _nm, ct in sorted(ctx.structs.items()))
+    if ctx.actor_names is not None:
+        salt.append("actors:" + ",".join(sorted(ctx.actor_names)))
+    for nm, (ret, params, names) in sorted(ctx.extra_intrinsics.items()):
+        salt.append(
+            f"intr:{nm}:{type_signature(ret)}"
+            f"({','.join(type_signature(p) for p in params)})"
+            f":{','.join(sorted(names)) if names else '-'}"
+        )
+    return salt
+
+
+def compile_unit(
+    source: str, filename: str, ctx: ActorContext, tier: str = "auto"
+) -> FrontendResult:
+    """Parse and analyse ``source`` under ``ctx`` — once per distinct
+    key; every later call with the same key returns the same result."""
+    key = frontend_cache.digest(source, filename, *_context_salt(ctx, tier))
+    entry = frontend_cache.get(key)
+    if entry is None:
+        program = parse_program(source, filename, ctx.structs)
+        entry = frontend_cache.put(key, FrontendResult(program, analyze(program, ctx, source)))
+    return entry

@@ -22,7 +22,7 @@ Three collaborators plug in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import GeneratorType
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -278,9 +278,27 @@ class Interpreter:
         cost: Optional[CostModel] = None,
         timed: bool = True,
         name: str = "",
+        symbols: Optional[Dict[str, str]] = None,
     ):
         self.program = program
         self.debug_info = debug_info
+        #: canonical → mangled function names of this actor (paper §VI-F);
+        #: empty for plain programs.  ``program`` and its tier units are
+        #: shared by every actor compiled from the same source, so the
+        #: names a user sees come from here, never from the AST
+        self.symbols: Dict[str, str] = symbols or {}
+        # Built once here, so no firing consults the symbol map.  _defs:
+        # canonical name → (definition as this actor names it — the
+        # shared one when unmangled, else a renamed alias sharing params
+        # and body — and its debug-info symbol); frames are built from
+        # these.  _entries: this actor's symbol → shared definition.
+        self._defs: Dict[str, Tuple[ast.FuncDef, Optional[FunctionSymbol]]] = {}
+        self._entries: Dict[str, ast.FuncDef] = {}
+        for f in program.functions:
+            mangled = self.symbols.get(f.name)
+            d = f if mangled is None else replace(f, name=mangled)
+            self._defs[f.name] = (d, debug_info.functions.get(d.name))
+            self._entries.setdefault(d.name, f)
         self.env = env or NullEnvironment()
         self.hook = hook
         self.cost = cost or CostModel()
@@ -397,16 +415,40 @@ class Interpreter:
         compiled tier maintains no frames and returns ``()``."""
         return tuple((f.name, f.line) for f in self.frames)
 
+    def function(self, symbol: str) -> Optional[ast.FuncDef]:
+        """The shared definition behind ``symbol`` as this actor names it."""
+        return self._entries.get(symbol)
+
+    @property
+    def _vm_unit(self):
+        """The (shared) VmUnit this interpreter runs bytecode from."""
+        return self._vm_bound
+
+    @_vm_unit.setter
+    def _vm_unit(self, vu) -> None:
+        # binding a unit also fixes _vm_funcs, its functions under this
+        # actor's names (canonical keys; renamed copies share the code),
+        # which is what activations run — so ISA stops, register
+        # watchpoints and ``disas`` see the mangled symbols
+        self._vm_bound = vu
+        if vu is None or not self.symbols:
+            self._vm_funcs = None if vu is None else vu.funcs
+        else:
+            self._vm_funcs = {
+                n: vmf.renamed(self.symbols.get(n, n)) for n, vmf in vu.funcs.items()
+            }
+
     # --------------------------------------------------------------- entry
 
     def run_function(self, name: str, args: Sequence[Raw] = ()):
-        """Coroutine: execute function ``name`` to completion.
+        """Coroutine: execute function ``name`` (this actor's symbol for
+        it) to completion.
 
         Returns the function's raw return value.  Drive it inside a
         simulation process (``yield from interp.run_function(...)``) or
         synchronously with :func:`run_sync`.
         """
-        func = self.program.function(name)
+        func = self._entries.get(name)
         if func is None:
             raise CMinusRuntimeError(f"no function {name!r} in {self.program.filename}")
         if not self._globals_ready:
@@ -474,13 +516,14 @@ class Interpreter:
     # ---------------------------------------------------------------- calls
 
     def _call_user(self, func: ast.FuncDef, args: List[Raw], call_line: int):
+        func, fsym = self._defs[func.name]
         if len(args) != len(func.params):
             raise CMinusRuntimeError(
                 f"{func.name}() expects {len(func.params)} args, got {len(args)}"
             )
         frame = Frame(
             func=func,
-            fsym=self.debug_info.functions.get(func.name),
+            fsym=fsym,
             depth=len(self.frames),
             line=func.line,
             call_line=call_line,

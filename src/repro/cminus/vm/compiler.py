@@ -62,7 +62,6 @@ class VmFunction:
         "name", "func", "filename", "params", "param_convs", "nparams",
         "code", "consts", "reg_init", "nregs", "reg_names", "nodes",
         "varmaps", "types", "void", "ret", "ret_kind", "deoptable",
-        "_fsym", "_fsym_di",
     )
 
     def __init__(self, func: ast.FuncDef):
@@ -89,15 +88,15 @@ class VmFunction:
         self.varmaps: List[tuple] = []
         self.types: List[object] = []
         self.deoptable = True
-        self._fsym = None
-        self._fsym_di = None
 
-    def fsym(self, interp):
-        di = interp.debug_info
-        if di is not self._fsym_di:
-            self._fsym_di = di
-            self._fsym = di.functions.get(self.name)
-        return self._fsym
+    def renamed(self, name: str) -> "VmFunction":
+        """A copy under another symbol (an actor's mangled name) that
+        shares everything else — code, pools and side tables."""
+        out = VmFunction.__new__(VmFunction)
+        for slot in VmFunction.__slots__:
+            setattr(out, slot, getattr(self, slot))
+        out.name = name
+        return out
 
     def ret_default(self):
         if self.ret_kind == 0:
@@ -802,8 +801,9 @@ class VmUnit:
 
 
 def vm_unit(program: ast.Program) -> VmUnit:
-    """The program's memoized :class:`VmUnit` (interpreters and replay
-    re-executions of the same Program share one)."""
+    """The program's memoized :class:`VmUnit` (interpreters of the same
+    Program — every instance of one source, and replay re-executions —
+    share one)."""
     vu = getattr(program, "_vm_unit_cache", None)
     if vu is None:
         vu = VmUnit(program)

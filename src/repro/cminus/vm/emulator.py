@@ -67,14 +67,14 @@ class Activation:
 def call_vm(interp, name: str, args: List):
     """Entry point used by ``Interpreter.run_function`` — the tier
     decision (``_use_vm``) was already made."""
-    vmf = interp._vm_unit.funcs[name]
+    vmf = interp._vm_funcs[name]
     return (yield from _activate(interp, vmf, args, 0))
 
 
 def _activate(interp, vmf: VmFunction, args: List, call_line: int):
     """One VM activation: mirrors ``Interpreter._call_user`` exactly
     (frame shape, hook elision, cost charging, return protocol)."""
-    func = vmf.func
+    func, fsym = interp._defs.get(vmf.func.name) or (vmf.func, None)
     if len(args) != vmf.nparams:
         raise CMinusRuntimeError(
             f"{func.name}() expects {vmf.nparams} args, got {len(args)}"
@@ -85,7 +85,7 @@ def _activate(interp, vmf: VmFunction, args: List, call_line: int):
         regs[i] = convs[i](args[i])
     frame = Frame(
         func,
-        vmf.fsym(interp),
+        fsym,
         len(interp.frames),
         func.line,
         call_line,
@@ -421,8 +421,8 @@ def _run(interp, act: Activation):
             continue
         if op == 52:  # CALL — descend vm → closure → tree per callee
             args = [regs[r] for r in ins[3]]
-            vu = interp._vm_unit
-            callee = vu.funcs.get(ins[2]) if vu is not None else None
+            vfs = interp._vm_funcs
+            callee = vfs.get(ins[2]) if vfs is not None else None
             if callee is not None and interp._fast_ok:
                 regs[ins[1]] = yield from _activate(interp, callee, args, frame.line)
             else:

@@ -829,8 +829,8 @@ class Debugger:
         """Pretty listing of one bytecode function (``disas [FUNC]``).
 
         With no argument, disassembles the selected frame's function and
-        marks the current pc; otherwise compiles/fetches ``func_name``
-        from the selected actor's VM unit."""
+        marks the current pc; otherwise compiles/fetches ``func_name`` (a
+        symbol as the selected actor names it) from its VM unit."""
         from ..cminus.vm.asm import disassemble
         from ..cminus.vm.compiler import vm_unit
 
@@ -851,13 +851,17 @@ class Debugger:
                 vu = vm_unit(interp.program)
             except Exception as exc:
                 raise DebuggerError(f"bytecode compile failed: {exc}")
-            vmf = vu.funcs.get(func_name)
+            fdef = interp.function(func_name)
+            canonical = fdef.name if fdef is not None else None
+            vmf = vu.funcs.get(canonical)
             if vmf is None:
-                reason = vu.failed.get(func_name)
+                reason = vu.failed.get(canonical)
                 if reason is not None:
                     raise DebuggerError(f"{func_name} not compilable: {reason}")
                 raise DebuggerError(f"no function symbol {func_name!r}")
-            pc = act.pc if act is not None and act.vmf is vmf else None
+            # the unit is shared; an activation runs a renamed copy of it
+            pc = act.pc if act is not None and act.vmf.code is vmf.code else None
+            vmf = vmf.renamed(func_name)
         text = self.debug_info.sources.get(vmf.filename)
         source = text.splitlines() if text else None
         return disassemble(vmf, pretty=True, source_lines=source, pc=pc)

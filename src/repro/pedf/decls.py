@@ -43,6 +43,8 @@ class ActorDeclBase:
     cprogram: Optional[CProgram] = None
     debug_info: Optional[DebugInfo] = None
     work_symbol: str = ""
+    #: canonical → mangled function names (paper §VI-F)
+    symbols: Dict[str, str] = field(default_factory=dict)
 
     def add_iface(self, name: str, direction: str, ctype: CType) -> IfaceDecl:
         if name in self.ifaces:

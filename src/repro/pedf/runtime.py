@@ -227,6 +227,7 @@ class PedfRuntime:
                 hook=self._hook,
                 cost=CostModel(default_stmt=actor.resource.cycles_per_stmt),
                 name=actor.qualname,
+                symbols=actor.decl.symbols,
             )
             actor.interp.tier = self.config.interp_tier
 

@@ -16,6 +16,7 @@ Everything here is transport-only (bytes and dicts); semantics live in
 
 from __future__ import annotations
 
+import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
@@ -103,20 +104,36 @@ def encode_dap(obj: Dict[str, Any]) -> bytes:
     return f"Content-Length: {len(body)}\r\n\r\n".encode() + body
 
 
+#: end of a DAP header block
+_DAP_SEP = b"\r\n\r\n"
+#: longest header block accepted (a real one is one short line)
+MAX_DAP_HEADER = 8192
+
+
 async def read_dap_message(reader, prefix: bytes = b"") -> Optional[Dict[str, Any]]:
-    """Read one Content-Length framed DAP message; None at EOF.
+    """Read one Content-Length framed DAP message; None at EOF or on a
+    malformed or oversized frame.
 
     ``prefix`` replays bytes already consumed by the protocol sniffer.
     """
-    header = bytearray(prefix)
-    while b"\r\n\r\n" not in header:
+    header = bytes(prefix)
+    # a separator that straddles the prefix and the stream is completed
+    # byte by byte (at most three reads); otherwise it lies wholly ahead
+    while _DAP_SEP not in header and any(
+        header.endswith(_DAP_SEP[:k]) for k in (1, 2, 3)
+    ):
         chunk = await reader.read(1)
         if not chunk:
             return None
-        header.extend(chunk)
-        if len(header) > 8192:
+        header += chunk
+    if _DAP_SEP not in header:
+        try:
+            header += await reader.readuntil(_DAP_SEP)
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return None
-    head, _, rest = bytes(header).partition(b"\r\n\r\n")
+    if header.index(_DAP_SEP) + len(_DAP_SEP) > MAX_DAP_HEADER:
+        return None
+    head, _, rest = header.partition(_DAP_SEP)
     length = None
     for line in head.split(b"\r\n"):
         name, _, value = line.partition(b":")

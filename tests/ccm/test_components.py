@@ -202,3 +202,36 @@ def test_component_cli_commands():
     assert any("components: 3" in line for line in out)
     out = cli.execute("ccm rebind bogus a b c")
     assert "error" in out[0]
+
+
+def test_components_share_the_front_end_and_keep_their_symbols():
+    """Components compile through the shared front-end cache: a rebuild
+    re-parses nothing, and service symbols and helper prefixes come from
+    each component's symbol map."""
+    from repro.cminus import frontend_cache
+
+    source = "U32 twice(U32 v) { return v * 2; }\nU32 serve_go(U32 v) { return twice(v); }\n"
+
+    def build():
+        asm = AssemblyDecl(name="pair")
+        for name in ("left", "right"):
+            asm.add_component(ComponentDecl(
+                name=name, source=source, provides=["go"], source_name="pair.c"))
+        sched = Scheduler()
+        platform = P2012Platform(sched, PlatformConfig(n_clusters=1, pes_per_cluster=4))
+        return sched, AssemblyRuntime(sched, platform, asm)
+
+    frontend_cache.clear()
+    sched, runtime = build()
+    assert frontend_cache.misses == 1  # one source, one context
+    left, right = (runtime.components[n].decl for n in ("left", "right"))
+    assert left.cprogram is right.cprogram
+    assert left.symbols == {"twice": "LeftComponent_twice", "serve_go": "LeftComponent_serve_go"}
+    assert set(right.debug_info.functions) == {"RightComponent_twice", "RightComponent_serve_go"}
+    runtime.load()
+    result = runtime.invoke("right", "go", 21)
+    sched.run()
+    assert result == [42]
+    build()
+    assert frontend_cache.misses == 1
+    frontend_cache.clear()

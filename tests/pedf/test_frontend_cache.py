@@ -2,8 +2,8 @@
 
 Replay re-executions and timeline forks rebuild the whole application
 from scratch — the cache makes the second and every later rebuild reuse
-the analyzed program, and lets identical sources share one closure-
-compiled unit (memoized per Program object).
+the analyzed program, and lets every instance of one source share it and
+its tier units (memoized per Program object).
 """
 
 import pytest
@@ -47,21 +47,29 @@ def test_identical_sources_share_one_program():
     compile_actor(d1, module)
     compile_actor(d2, module)
     assert frontend_cache.hits == 1 and frontend_cache.misses == 1
-    # same mangle + same source + same context → the same analyzed program
+    # same source + same context → the same analyzed program; same
+    # instance name → the same symbol map and debug-info view
     assert d1.cprogram is d2.cprogram
     assert d1.debug_info is d2.debug_info
     assert d1.work_symbol == d2.work_symbol
 
 
-def test_different_instance_names_do_not_collide():
-    """Mangling differs per instance — the cache must key on it."""
+def test_instances_of_one_source_share_one_program():
+    """Mangling is a per-actor symbol map, not part of the key: two
+    instances of one source share the analysed program, yet keep their
+    own symbols."""
     module = make_module()
     d1, d2 = make_decl("alpha"), make_decl("beta")
+    d1.source_name = d2.source_name = "stage.c"
     compile_actor(d1, module)
     compile_actor(d2, module)
-    assert frontend_cache.hits == 0 and frontend_cache.misses == 2
-    assert d1.cprogram is not d2.cprogram
-    assert d1.work_symbol != d2.work_symbol
+    assert frontend_cache.hits == 1 and frontend_cache.misses == 1
+    assert d1.cprogram is d2.cprogram
+    assert (d1.work_symbol, d2.work_symbol) == (
+        "AlphaFilter_work_function", "BetaFilter_work_function"
+    )
+    assert set(d1.debug_info.functions) == {"AlphaFilter_work_function"}
+    assert set(d2.debug_info.functions) == {"BetaFilter_work_function"}
 
 
 def test_different_sources_do_not_collide():
@@ -88,6 +96,26 @@ def test_clear_resets_everything():
     assert len(frontend_cache) == 1
     frontend_cache.clear()
     assert frontend_cache.stats() == (0, 0, 0)
+
+
+def test_clear_drops_shared_programs_and_tier_units():
+    """A cleared cache is a true cold launch: no program, tier unit or
+    debug-info view compiled before it is handed out again."""
+    from repro.cminus.compile import compiled_unit
+    from repro.cminus.vm.compiler import vm_unit
+
+    d1 = make_decl()
+    compile_actor(d1, make_module())
+    compiled_unit(d1.cprogram)
+    vm_unit(d1.cprogram)
+    frontend_cache.clear()
+    d2 = make_decl()
+    compile_actor(d2, make_module())
+    assert frontend_cache.misses == 1
+    assert d2.cprogram is not d1.cprogram
+    assert d2.debug_info is not d1.debug_info
+    assert getattr(d2.cprogram, "_compiled_unit_cache", None) is None
+    assert getattr(d2.cprogram, "_vm_unit_cache", None) is None
 
 
 def test_amodule_rebuild_reuses_programs():

@@ -104,3 +104,41 @@ def test_dap_eof_and_bad_frames_return_none():
     assert _read_dap(b'Content-Length: 99\r\n\r\n{"a":1}') is None
     # body is not an object
     assert _read_dap(b"Content-Length: 7\r\n\r\n[1,2,3]") is None
+
+
+def test_dap_separator_split_across_prefix_and_stream():
+    frame = proto.encode_dap({"seq": 3, "type": "request", "command": "next"})
+    cut = frame.index(b"\r\n\r\n") + 2  # prefix ends in the middle of it
+    for at in (cut - 1, cut, cut + 1):
+        assert _read_dap(frame[at:], prefix=frame[:at])["command"] == "next"
+    # a prefix holding the whole header and part of the body
+    body_start = frame.index(b"\r\n\r\n") + 4
+    assert _read_dap(frame[body_start + 3:], prefix=frame[: body_start + 3])["seq"] == 3
+
+
+def test_dap_pipelined_messages_read_one_at_a_time():
+    first = {"seq": 1, "type": "request", "command": "threads"}
+    second = {"seq": 2, "type": "request", "command": "stackTrace"}
+
+    async def go():
+        reader = _feed_reader(proto.encode_dap(first) + proto.encode_dap(second))
+        a = await proto.read_dap_message(reader)
+        b = await proto.read_dap_message(reader)
+        c = await proto.read_dap_message(reader)
+        return a, b, c
+
+    assert asyncio.run(go()) == (first, second, None)
+
+
+def test_dap_oversized_header_returns_none():
+    filler = b"X-Pad: " + b"a" * proto.MAX_DAP_HEADER + b"\r\n"
+    frame = filler + b"Content-Length: 2\r\n\r\n{}"
+    assert _read_dap(frame) is None
+    # no separator at all, then EOF
+    assert _read_dap(b"Content-Length: 2\r\n" + b"a" * 20000) is None
+    # the largest accepted header block still parses; one byte more does not
+    ok = b"Content-Length: 2\r\n\r\n"
+    pad = b"X-Pad: " + b"a" * (proto.MAX_DAP_HEADER - len(ok) - 9) + b"\r\n"
+    assert len(pad + ok) == proto.MAX_DAP_HEADER
+    assert _read_dap(pad + ok + b"{}") == {}
+    assert _read_dap(b"a" + pad + ok + b"{}") is None
