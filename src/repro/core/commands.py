@@ -466,11 +466,7 @@ class _Commands:
             tel.disable()
             return ["telemetry disabled (collected data retained)"]
         if verb == "clear":
-            was_on = tel.enabled
-            tel.disable()
             tel.clear()
-            if was_on:
-                tel.enable()
             return ["telemetry data cleared"]
         if verb in ("status", ""):
             return tel.status_lines()

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import ReplayDivergenceError, ReplayError
-from ..pedf.api import SYM_ACTOR_START, SYM_ACTOR_SYNC, SYM_POP, SYM_PUSH, FrameworkEvent
+from ..pedf.api import SYM_PUSH, FrameworkEvent
 from ..sim.process import Suspend
 from ..sim.replay import (
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -121,25 +121,18 @@ class RunRecorder:
     # ------------------------------------------------------------ recording
 
     def _on_event(self, event: FrameworkEvent) -> Optional[Suspend]:
-        seq = None
-        if event.phase == "exit" and event.symbol in (SYM_PUSH, SYM_POP):
-            seq = getattr(event.retval, "seq", None)
-            self.journal.note_token_link(seq, event.args.get("link"))
-        index = self.journal.add_event(event.time, event.phase, event.symbol, event.actor, seq)
-        # per-event side tables for the runtime-verification deriver
-        if event.symbol in (SYM_PUSH, SYM_POP):
-            self.journal.note_event_link(index, event.args.get("link"))
-            if event.phase == "exit" and event.symbol == SYM_PUSH and event.retval is not None:
-                from ..sim.sharding.merge import stable_value_text
+        ev = event.flow
+        journal = self.journal
+        index = journal.add_flow(ev)
+        if ev.symbol == SYM_PUSH and ev.phase == "exit" and event.retval is not None:
+            from ..sim.sharding.merge import stable_value_text
 
-                self.journal.note_event_value(index, stable_value_text(event.retval.value))
-        elif event.symbol in (SYM_ACTOR_START, SYM_ACTOR_SYNC):
-            self.journal.note_event_target(index, event.args.get("actor"))
+            journal.note_event_value(index, stable_value_text(event.retval.value))
 
         ref = self.reference
         if ref is not None and self.divergence is None and index <= ref.total_events:
             expected = ref.record_at(index)
-            got = self.journal.record_at(index)
+            got = journal.last_record
             if expected is None:
                 self._note_uncovered(index)
             elif got is not None:
@@ -149,8 +142,8 @@ class RunRecorder:
                         f"{ReplayJournal.describe_record(expected)}, replayed "
                         f"{ReplayJournal.describe_record(got)}"
                     )
-                    ev = StopEvent(StopKind.REPLAY, message=self.divergence, time=event.time)
-                    return self.dbg.external_suspend(ev)
+                    stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=event.time)
+                    return self.dbg.external_suspend(stop)
                 self.events_compared += 1
 
         # re-apply journaled alterations at their recorded positions, before
@@ -162,14 +155,14 @@ class RunRecorder:
 
         if self.target_index is not None and index >= self.target_index:
             self.target_index = None
-            ev = StopEvent(
+            stop = StopEvent(
                 StopKind.REPLAY,
                 message=f"[Replayed to event #{index}, t={event.time}]",
                 actor=event.actor,
                 time=event.time,
             )
-            self.landed = ev
-            return self.dbg.external_suspend(ev)
+            self.landed = stop
+            return self.dbg.external_suspend(stop)
         return None
 
     def _note_uncovered(self, index: int) -> None:

@@ -6,14 +6,15 @@ story of the *run* — which actor was busy, how a token travelled across
 a cut link — needs the per-shard streams stitched back together.  This
 module does that deterministically:
 
-- **merge**: every shard's journal events are projected to the same
-  :class:`TelemetryEvent` tuples the single-kernel deriver uses, merged
-  into one global stream ordered by ``(time, shard, event index)`` (a
-  stable total order; per-track nesting is preserved because tracks are
-  shard-disjoint), and fed through a single
-  :class:`~repro.obs.builder.TelemetryBuilder`.  Metrics for a cut link
-  become *exact* on the merged timeline: pushes observed on the
-  producer shard interleave with pops observed on the consumer shard.
+- **merge**: every shard's journal is read through the same
+  :meth:`~repro.sim.replay.ReplayJournal.iter_flow` projection the
+  single-kernel deriver uses, merged into one global stream ordered
+  by ``(time, shard, event index)`` (a stable total order; per-track
+  nesting is preserved because tracks are shard-disjoint), and fed
+  through a single :class:`~repro.obs.builder.TelemetryBuilder`.
+  Metrics for a cut link become *exact* on the merged timeline: pushes
+  observed on the producer shard interleave with pops observed on the
+  consumer shard.
 - **stitching**: for each cut link, the Nth push exit (producer shard)
   and the Nth pop exit (consumer shard) are the same token — FIFO
   channels forward in order — so they form a
@@ -47,7 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..errors import DataflowDebugError
 from ..pedf.api import SYM_POP, SYM_PUSH
 from ..sim.sharding.merge import stream_digest
-from .builder import INIT_TRACK, TelemetryBuilder, TelemetryEvent
+from .builder import INIT_TRACK, TelemetryBuilder
 from .export import to_chrome_trace_multi
 from .metrics import MetricsRegistry
 from .spans import Span, SpanSink
@@ -191,13 +192,8 @@ class AggregateTelemetry:
                 ordinals[key] = ordinals.get(key, 0) + 1
                 edge = edge_index.get((link, span.name, ordinals[key]))
                 if edge is not None:
-                    span = Span(
-                        span.track,
-                        span.name,
-                        span.cat,
-                        span.begin,
-                        span.end,
-                        span.args
+                    span = span._replace(
+                        args=span.args
                         + (
                             ("xshard", f"{edge.src_shard}->{edge.dst_shard}"),
                             ("ordinal", edge.ordinal),
@@ -215,17 +211,14 @@ class AggregateTelemetry:
 
 
 def _journal_events(journal, sid: int, init_track: str):
-    """Project one shard journal to ``(time, sid, index, TelemetryEvent)``
-    sort keys — the exact field restriction ``derive_telemetry`` uses."""
+    """Project one shard journal to ``(time, sid, index, DataflowEvent)``
+    sort keys — the same records ``derive_telemetry`` feeds, with
+    actor-less events moved to the shard's own init track."""
     out = []
-    for index, rec in journal.iter_indexed():
-        symbol, _, phase = rec.kind.rpartition(":")
-        seq = rec.detail
-        link = journal.link_for_event(index) if seq is not None else None
-        actor = rec.process or init_track
-        out.append(
-            (rec.time, sid, index, TelemetryEvent(rec.time, phase, symbol, actor, seq, link))
-        )
+    for index, ev in journal.iter_flow():
+        if not ev.actor:
+            ev = ev._replace(actor=init_track)
+        out.append((ev.time, sid, index, ev))
     return out
 
 

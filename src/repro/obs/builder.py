@@ -2,11 +2,13 @@
 
 Byte-identity between live collection and replay derivation is achieved
 *by construction*: both feed the same :class:`TelemetryBuilder` with
-:class:`TelemetryEvent` tuples restricted to what a
-:class:`~repro.sim.replay.ReplayJournal` stores — simulated time,
-phase, symbol, acting actor, and (for data-exchange exits) the token
-sequence number plus the link name from the journal's side table.
-Nothing live-only (argument dicts, Python object identities, wall-clock
+:class:`~repro.sim.replay.DataflowEvent` tuples — live, the bus event's
+shared :attr:`~repro.pedf.api.FrameworkEvent.flow` projection; in
+replay, :meth:`~repro.sim.replay.ReplayJournal.iter_flow`.  The record
+holds only what a journal stores (simulated time, phase, symbol, acting
+actor, token seq, link and scheduling target), and the builder reads a
+link only together with a token seq (data-exchange exits), so nothing
+live-only (argument dicts, Python object identities, wall-clock
 anything) may influence the output.
 
 Span hierarchy per track (one track per actor; elaboration events with
@@ -34,10 +36,9 @@ open is dropped rather than corrupting the stack.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..pedf.api import (
-    FrameworkEvent,
     SYM_POP,
     SYM_PUSH,
     SYM_STEP_BEGIN,
@@ -45,8 +46,12 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
+from ..sim.replay import DataflowEvent
 from .metrics import MetricsRegistry
 from .spans import Span, SpanSink
+
+#: the builder's input record (kept as a name for existing callers)
+TelemetryEvent = DataflowEvent
 
 #: track for elaboration-time events that carry no acting actor
 INIT_TRACK = "pedf.init"
@@ -70,31 +75,10 @@ _LEAF_CATS = {
 }
 
 
-class TelemetryEvent(NamedTuple):
-    """One framework event, reduced to its journal-derivable fields."""
-
-    time: int
-    phase: str  # "entry" | "exit"
-    symbol: str
-    actor: str  # qualified actor name, or "" (elaboration)
-    seq: Optional[int]  # token seq (push/pop exits only)
-    link: Optional[str]  # link name (push/pop exits only, if known)
-
-
-def from_framework_event(event: FrameworkEvent) -> TelemetryEvent:
-    """Reduce a live bus event to the journal-equivalent tuple.
-
-    ``seq``/``link`` are populated only where a replay journal could
-    recover them (data-exchange exits), so live and derived streams
-    match field-for-field.
-    """
-    seq = None
-    link = None
-    if event.phase == "exit" and event.symbol in (SYM_PUSH, SYM_POP):
-        seq = getattr(event.retval, "seq", None)
-        if seq is not None:
-            link = event.args.get("link")
-    return TelemetryEvent(event.time, event.phase, event.symbol, event.actor or "", seq, link)
+def _leaf(symbol: str) -> Tuple[str, str]:
+    """(span name, category) of a leaf symbol."""
+    name = symbol[len(_SYMBOL_PREFIX):] if symbol.startswith(_SYMBOL_PREFIX) else symbol
+    return name, _LEAF_CATS.get(name, "other")
 
 
 class _Open:
@@ -111,25 +95,30 @@ class _Open:
 
 
 class TelemetryBuilder:
-    """Feeds :class:`TelemetryEvent` tuples; emits spans, updates metrics."""
+    """Feeds :class:`~repro.sim.replay.DataflowEvent` tuples; emits spans,
+    updates metrics.
 
-    def __init__(self, sink: SpanSink, metrics: MetricsRegistry):
+    Each closed span goes to ``sink`` and, when given, to ``ring`` too —
+    the flight recorder's bounded ring shares this one span pass instead
+    of running a builder of its own."""
+
+    def __init__(self, sink: SpanSink, metrics: MetricsRegistry,
+                 ring: Optional[SpanSink] = None):
         self.sink = sink
+        self.ring = ring
         self.metrics = metrics
         self.events_fed = 0
         self._stacks: Dict[str, List[_Open]] = {}
+        self._leaves: Dict[str, Tuple[str, str]] = {}
 
     # ------------------------------------------------------------ plumbing
 
-    def _stack(self, track: str) -> List[_Open]:
+    def _open(self, track: str, name: str, cat: str, begin: int,
+              args: Tuple[Tuple[str, Any], ...] = ()) -> None:
         stack = self._stacks.get(track)
         if stack is None:
             stack = self._stacks[track] = []
-        return stack
-
-    def _open(self, track: str, name: str, cat: str, begin: int,
-              args: Tuple[Tuple[str, Any], ...] = ()) -> None:
-        self._stack(track).append(_Open(name, cat, begin, args))
+        stack.append(_Open(name, cat, begin, args))
 
     def _close(self, track: str, name: str, end: int) -> Optional[Span]:
         """Close the top span if it matches ``name``; None otherwise
@@ -138,14 +127,17 @@ class TelemetryBuilder:
         if not stack or stack[-1].name != name:
             return None
         top = stack.pop()
-        span = Span(track, top.name, top.cat, top.begin, end, top.args)
+        span = Span(track, name, top.cat, top.begin, end, top.args)
+        duration = end - top.begin
         if stack:
-            stack[-1].child_total += span.duration
+            stack[-1].child_total += duration
         if top.cat == "filterc":
             m = self.metrics.actor(track)
-            m.busy += span.duration - top.child_total
+            m.busy += duration - top.child_total
             m.blocked += top.child_total
         self.sink.add(span)
+        if self.ring is not None:
+            self.ring.add(span)
         return span
 
     def open_depth(self, track: str) -> int:
@@ -154,56 +146,56 @@ class TelemetryBuilder:
 
     # ---------------------------------------------------------------- feed
 
-    def feed(self, te: TelemetryEvent) -> None:
+    def feed(self, te: DataflowEvent) -> None:
         self.events_fed += 1
         metrics = self.metrics
-        metrics.note_time(te.time)
+        t = te.time
+        metrics.note_time(t)
         track = te.actor or INIT_TRACK
-        symbol, phase, t = te.symbol, te.phase, te.time
+        symbol = te.symbol
+        entry = te.phase == "entry"
         if symbol == SYM_WORK_ENTER:
-            if phase == "entry":
+            if entry:
                 m = metrics.actor(track)
                 m.firings += 1
                 self._open(track, "firing", "firing", t, (("invocation", m.firings),))
             else:
                 self._open(track, "work", "filterc", t)
         elif symbol == SYM_WORK_EXIT:
-            if phase == "entry":
-                self._close(track, "work", t)
-            else:
-                self._close(track, "firing", t)
+            self._close(track, "work" if entry else "firing", t)
         elif symbol == SYM_STEP_BEGIN:
-            if phase == "entry":
+            if entry:
                 m = metrics.actor(track)
                 m.steps += 1
                 self._open(track, "step", "step", t, (("step", m.steps),))
             else:
                 self._open(track, "run", "filterc", t)
         elif symbol == SYM_STEP_END:
-            if phase == "entry":
-                self._close(track, "run", t)
-            else:
-                self._close(track, "step", t)
+            self._close(track, "run" if entry else "step", t)
         else:
-            name = symbol[len(_SYMBOL_PREFIX):] if symbol.startswith(_SYMBOL_PREFIX) else symbol
-            if phase == "entry":
-                self._open(track, name, _LEAF_CATS.get(name, "other"), t)
-            else:
-                args: Tuple[Tuple[str, Any], ...] = ()
-                if te.seq is not None:
-                    args = (("link", te.link or "?"), ("seq", te.seq))
+            leaf = self._leaves.get(symbol)
+            if leaf is None:
+                leaf = self._leaves[symbol] = _leaf(symbol)
+            name = leaf[0]
+            if entry:
+                self._open(track, name, leaf[1], t)
+                return
+            # a link is attributed only together with a token seq (the
+            # data-exchange exits a journal can fully recover)
+            seq = te.seq
+            link = te.link if seq is not None else None
+            if seq is not None:
                 stack = self._stacks.get(track)
                 if stack and stack[-1].name == name:
-                    stack[-1].args = args
-                span = self._close(track, name, t)
-                duration = span.duration if span is not None else 0
-                if symbol == SYM_PUSH:
-                    if te.actor:
-                        metrics.actor(track).produced += 1
-                    if te.link:
-                        metrics.link(te.link).on_push(t, duration)
-                elif symbol == SYM_POP:
-                    if te.actor:
-                        metrics.actor(track).consumed += 1
-                    if te.link:
-                        metrics.link(te.link).on_pop(t, duration)
+                    stack[-1].args = (("link", link or "?"), ("seq", seq))
+            span = self._close(track, name, t)
+            if symbol == SYM_PUSH:
+                if te.actor:
+                    metrics.actor(track).produced += 1
+                if link:
+                    metrics.link(link).on_push(t, span.duration if span is not None else 0)
+            elif symbol == SYM_POP:
+                if te.actor:
+                    metrics.actor(track).consumed += 1
+                if link:
+                    metrics.link(link).on_pop(t, span.duration if span is not None else 0)

@@ -1,16 +1,14 @@
 """Replay-side telemetry derivation: profile a recorded run post-hoc.
 
-The ReplayJournal's event log stores ``(time, actor, "symbol:phase",
-seq)`` per framework event — exactly the fields the span builder
-consumes.  Feeding the journal through a fresh builder therefore
-reconstructs the *same* spans and metrics a live run would have
-collected, byte-for-byte (the builder never looks at live-only data by
-design; see :mod:`repro.obs.builder`).  Link attribution for token
-events comes from the journal's per-position ``event_links`` side table
-(the live builder sets a link only on push/pop exits carrying a seq, so
-the derivation does the same).
+The ReplayJournal's event log plus its side tables hold every field of
+the :class:`~repro.sim.replay.DataflowEvent` the span builder consumes,
+and :meth:`~repro.sim.replay.ReplayJournal.iter_flow` rebuilds those
+records.  Feeding them through a fresh builder therefore reconstructs
+the *same* spans and metrics a live run would have collected,
+byte-for-byte (the builder never looks at live-only data by design; see
+:mod:`repro.obs.builder`).
 
-The journal is streamed via ``iter_indexed`` — a segment-rotating
+The journal is streamed via ``iter_flow`` — a segment-rotating
 journal is walked one decompressed segment at a time, so profiling an
 arbitrarily long run stays within the in-memory window.  Only a journal
 recorded with a lossy cap/ring bound can actually lose events; the
@@ -22,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from ..sim.replay import ReplayJournal
-from .builder import TelemetryBuilder, TelemetryEvent
+from .builder import TelemetryBuilder
 from .metrics import MetricsRegistry
 from .spans import SpanSink
 
@@ -43,11 +41,6 @@ def derive_telemetry(
     sink = SpanSink(limit=limit, ring=ring)
     metrics = MetricsRegistry()
     builder = TelemetryBuilder(sink, metrics)
-    for index, rec in journal.iter_indexed():
-        symbol, _, phase = rec.kind.rpartition(":")
-        seq = rec.detail
-        # matches the live tap: only data-exchange exits (which are the
-        # only records carrying a seq) get a link
-        link = journal.link_for_event(index) if seq is not None else None
-        builder.feed(TelemetryEvent(rec.time, phase, symbol, rec.process, seq, link))
+    for _index, ev in journal.iter_flow():
+        builder.feed(ev)
     return DerivedTelemetry(sink, metrics, builder.events_fed, journal.evicted_events == 0)

@@ -7,14 +7,18 @@ a self-contained post-mortem bundle of the recent past can be written
 without anyone having thought to enable tracing first.
 
 Zero-cost discipline (§V) still holds: the recorder itself allocates a
-few bounded buffers and one stop callback.  Span capture rides the
-telemetry tap when telemetry is armed (one extra bounded ring insert per
-event — no second bus subscription, no effect on the telemetry-off
-fast path, which stays event-free).  Metric deltas are computed only at
-stops, and journal/shard state is referenced, not copied.  When
-telemetry never ran, the bundle says so and still carries the stop log,
-journal tail refs and shard/channel state — always-on means "armed",
-not "observing for free".
+few bounded buffers and one stop callback.  Span capture shares the
+telemetry span pass when telemetry is armed: the telemetry builder
+inserts each span it closes into this ring too (one extra bounded ring
+insert per closed span, so at most one per event — no second bus
+subscription, no second span builder, no effect on the telemetry-off
+fast path, which stays event-free).  Metrics are the telemetry
+registry itself, read at stops for the per-stop deltas; journal/shard
+state is referenced, not copied.  ``trace clear`` leaves the ring alone
+and restarts the delta baseline from the fresh registry, so no delta
+goes negative.  When telemetry never ran, the bundle says so and still
+carries the stop log, journal tail refs and shard/channel state —
+always-on means "armed", not "observing for free".
 
 The bundle is deterministic (simulated time only, sorted keys) and
 self-contained JSON: stop history, recent spans, metrics, per-stop
@@ -29,7 +33,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..dbg.stop import StopEvent, StopKind
-from .builder import TelemetryBuilder, TelemetryEvent
 from .metrics import MetricsRegistry
 from .spans import SpanSink
 
@@ -56,13 +59,14 @@ class FlightRecorder:
         delta_limit: int = DELTA_LIMIT,
     ) -> None:
         self.session = session
+        #: the span ring the telemetry builder also inserts into
         self.sink = SpanSink(limit=span_limit, ring=True)
-        self.metrics = MetricsRegistry()
-        self.builder = TelemetryBuilder(self.sink, self.metrics)
         #: per-stop counter deltas, oldest evicted first
         self.deltas: deque = deque(maxlen=delta_limit)
         self.stops: deque = deque(maxlen=STOP_LIMIT)
         self._last_counts: Dict[str, tuple] = {}
+        #: the registry ``_last_counts`` was read from
+        self._counted: Optional[MetricsRegistry] = None
         self.auto_dump = True
         self.last_dump: Optional[str] = None
         self.dumps_written = 0
@@ -75,15 +79,29 @@ class FlightRecorder:
 
     # ------------------------------------------------------------ capture
 
-    def feed(self, te: TelemetryEvent) -> None:
-        """Tap one normalised telemetry event into the ring (called by
-        the telemetry facade while telemetry is armed)."""
-        self.builder.feed(te)
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """The telemetry metrics registry (None until telemetry ran)."""
+        return self.session.telemetry.metrics
+
+    @property
+    def telemetry_observed(self) -> bool:
+        """True once any telemetry span or event reached the recorder."""
+        builder = self.session.telemetry.builder
+        return bool(self.sink.name_counts) or (builder is not None and builder.events_fed > 0)
 
     def _counter_snapshot(self) -> Dict[str, tuple]:
+        metrics = self.metrics
+        if metrics is not self._counted:
+            # `trace clear` swapped in a fresh registry: deltas restart
+            # from zero instead of going negative against the old counts
+            self._counted = metrics
+            self._last_counts = {}
+        if metrics is None:
+            return {}
         return {
             name: (m.firings, m.steps, m.produced, m.consumed, m.busy, m.blocked)
-            for name, m in self.metrics.actors.items()
+            for name, m in metrics.actors.items()
         }
 
     def _on_stop(self, ev: StopEvent) -> None:
@@ -164,23 +182,24 @@ class FlightRecorder:
         """The self-contained post-mortem dict (JSON-serialisable,
         deterministic: simulated time only, no wall clock)."""
         snapshot = self.sink.snapshot()
+        metrics = self.metrics
         return {
             "flight": {
                 "version": 1,
                 "reason": reason,
                 "spans_stored": len(snapshot.spans),
                 "spans_evicted": self.sink.dropped,
-                "telemetry_observed": self.builder.events_fed > 0,
+                "telemetry_observed": self.telemetry_observed,
             },
             "stops": list(self.stops),
             "spans": [s.describe() for s in snapshot.spans],
-            "metrics": self.metrics.render() if self.metrics.actors else [],
+            "metrics": metrics.render() if metrics is not None and metrics.actors else [],
             "deltas": list(self.deltas),
             "journal": self._journal_refs(),
             "sharding": self._shard_state(),
             "tokens": self._token_state(),
             "config": {
-                "time": self.metrics.last_time,
+                "time": metrics.last_time if metrics is not None else 0,
                 "interp_tier": getattr(
                     self.session.dbg.runtime.config, "interp_tier", "auto"
                 ),
@@ -226,7 +245,7 @@ class FlightRecorder:
             f"  auto-dump: {'on' if self.auto_dump else 'off'} "
             f"({', '.join(k.value for k in AUTO_DUMP_KINDS)})",
         ]
-        if self.builder.events_fed == 0:
+        if not self.telemetry_observed:
             lines.append(
                 "  (no telemetry observed — enable `trace on` for span capture)"
             )

@@ -17,13 +17,12 @@ even after eviction and warn when ``dropped > 0``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """One closed simulated-time interval on one track."""
+class Span(NamedTuple):
+    """One closed simulated-time interval on one track (a tuple: the
+    span builder makes one per closed span, on the per-event path)."""
 
     track: str  # actor qualname, or "pedf.init" for elaboration
     name: str  # "firing", "work", "step", "run", "push", "pop", ...

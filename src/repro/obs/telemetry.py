@@ -12,6 +12,17 @@ Arming does two things, both reversible:
   only new work on the hot path is one predicted branch per cost flush
   (one per ~batch_cycles statements).
 
+The listener feeds each event's shared
+:class:`~repro.sim.replay.DataflowEvent` projection (``event.flow``,
+built once per event whichever tap reads it first) to one span builder.
+That builder also inserts every closed span into the flight recorder's
+ring, so flight needs neither a tap nor a builder of its own.
+
+The span sink's bound is fixed for the life of the collected data: a
+``trace on`` asking for a different bound than the existing sink's is
+refused (``trace off`` then ``trace clear`` first), and ``trace clear``
+re-arms with the bound it found.
+
 Collection itself is live-only sugar: the same spans/metrics are
 reproducible after the fact from a ReplayJournal via
 :func:`repro.obs.derive.derive_telemetry`.
@@ -19,12 +30,19 @@ reproducible after the fact from a ReplayJournal via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .builder import TelemetryBuilder, from_framework_event
+from ..errors import DataflowDebugError
+from .builder import TelemetryBuilder
 from .export import to_chrome_trace
 from .metrics import MetricsRegistry
 from .spans import SpanSink
+
+
+def _describe_bound(limit: Optional[int], ring: bool) -> str:
+    if limit is None:
+        return "unbounded"
+    return f"{'ring' if ring else 'cap'} limit={limit}"
 
 
 class Telemetry:
@@ -40,15 +58,35 @@ class Telemetry:
 
     # ------------------------------------------------------------- arming
 
+    @property
+    def bound(self) -> Tuple[Optional[int], bool]:
+        """``(limit, ring)`` of the current span sink (unbounded if none)."""
+        sink = self.sink
+        if sink is None or sink.limit is None:
+            return (None, False)
+        return (sink.limit, sink.ring)
+
     def enable(self, limit: Optional[int] = None, ring: bool = False) -> None:
         """Start collecting (idempotent).  ``limit``/``ring`` bound the
-        span sink with TraceRecorder's cap/ring policies."""
+        span sink with TraceRecorder's cap/ring policies; asking for a
+        bound other than the existing sink's raises instead of silently
+        keeping the old one."""
+        requested = (limit, bool(ring)) if limit is not None else (None, False)
+        if self.sink is not None and requested != self.bound:
+            raise DataflowDebugError(
+                f"telemetry already holds a span sink that is "
+                f"{_describe_bound(*self.bound)}; it cannot become "
+                f"{_describe_bound(*requested)} — use `trace off` then "
+                f"`trace clear` to drop it first"
+            )
         if self.enabled:
             return
         if self.builder is None:
-            self.sink = SpanSink(limit=limit, ring=ring)
+            self.sink = SpanSink(*requested)
             self.metrics = MetricsRegistry()
-            self.builder = TelemetryBuilder(self.sink, self.metrics)
+            self.builder = TelemetryBuilder(
+                self.sink, self.metrics, ring=self.session.flight.sink
+            )
         dbg = self.session.dbg
         self._sub = dbg.runtime.bus.subscribe("*", self._on_event)
         dbg.telemetry_armed = True
@@ -68,19 +106,20 @@ class Telemetry:
         self.enabled = False
 
     def clear(self) -> None:
-        """Drop collected data (a fresh builder arms on next enable)."""
+        """Drop collected data.  While collecting, a fresh sink with the
+        same bound re-arms at once; otherwise the next :meth:`enable`
+        chooses the bound."""
+        was_on = self.enabled
+        limit, ring = self.bound
+        self.disable()
         self.sink = None
         self.metrics = None
         self.builder = None
+        if was_on:
+            self.enable(limit=limit, ring=ring)
 
     def _on_event(self, event):
-        te = from_framework_event(event)
-        self.builder.feed(te)
-        # the flight recorder rides the same tap (bounded ring insert) so
-        # it never needs its own bus subscription
-        flight = getattr(self.session, "flight", None)
-        if flight is not None:
-            flight.feed(te)
+        self.builder.feed(event.flow)
         return None
 
     # ------------------------------------------------------------ queries
@@ -103,9 +142,7 @@ class Telemetry:
         if sink is None:
             lines.append("  (nothing collected; use `trace on`)")
             return lines
-        bound = "unbounded" if sink.limit is None else (
-            f"{'ring' if sink.ring else 'cap'} limit={sink.limit}"
-        )
+        bound = _describe_bound(*self.bound)
         lines.append(f"  spans: {len(sink)} stored ({bound}), {sink.dropped} dropped")
         if self.builder is not None:
             lines.append(f"  events fed: {self.builder.events_fed}")
@@ -143,8 +180,6 @@ class Telemetry:
 
     def export_json(self, process_name: str = "repro") -> str:
         if self.sink is None:
-            from ..errors import DataflowDebugError
-
             raise DataflowDebugError("no telemetry collected (use `trace on` first)")
         return to_chrome_trace(self.sink.snapshot().spans, process_name)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.process import Suspend
+from ..sim.replay import DataflowEvent
 
 # --------------------------------------------------------------- symbol set
 
@@ -64,8 +65,17 @@ SYMBOLS: Dict[str, str] = {
     SYM_SET_PRED: "a scheduling predicate changes (args: module, name, value)",
 }
 
+#: symbols whose events carry a link name (push/pop, both phases)
+LINK_SYMBOLS = frozenset((SYM_PUSH, SYM_POP))
+#: symbols whose events carry a scheduling target filter (both phases)
+TARGET_SYMBOLS = frozenset((SYM_ACTOR_START, SYM_ACTOR_SYNC))
 
-@dataclass
+#: builds a DataflowEvent without the generated ``__new__``'s Python
+#: frame (same tuple as ``DataflowEvent(...)``, made once per event)
+_new_flow = tuple.__new__
+
+
+@dataclass(slots=True)
 class FrameworkEvent:
     """One observable framework operation (entry or exit)."""
 
@@ -75,6 +85,30 @@ class FrameworkEvent:
     actor: Optional[str] = None  # qualified actor name, e.g. "pred.ipred"
     retval: Any = None  # exit phase only
     time: int = 0
+    _flow: Optional[DataflowEvent] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def flow(self) -> DataflowEvent:
+        """The event's journal-derivable projection, built on first use
+        and shared by every consumer after that (journal, telemetry, RV).
+
+        Only fields a replay journal can recover are filled: the link of
+        a push/pop, the token seq of a push/pop exit, the target filter
+        of an actor_start/actor_sync."""
+        flow = self._flow
+        if flow is None:
+            symbol = self.symbol
+            seq = link = target = None
+            if symbol in LINK_SYMBOLS:
+                link = self.args.get("link")
+                if self.phase == "exit":
+                    seq = getattr(self.retval, "seq", None)
+            elif symbol in TARGET_SYMBOLS:
+                target = self.args.get("actor")
+            flow = self._flow = _new_flow(
+                DataflowEvent, (self.time, self.phase, symbol, self.actor or "", seq, link, target)
+            )
+        return flow
 
     @property
     def qualified_symbol(self) -> str:

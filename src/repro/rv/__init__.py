@@ -34,7 +34,7 @@ from .props import (
     progress,
     rate,
 )
-from .events import RvEvent, from_framework_event
+from .events import DataflowEvent, RvEvent
 from .monitors import Verdict
 from .compile import GraphView, compile_property
 from .checks import Check, Checks
@@ -43,6 +43,7 @@ from .derive import derive_verdicts
 __all__ = [
     "Check",
     "Checks",
+    "DataflowEvent",
     "DeadlockFreeProp",
     "GraphView",
     "OccupancyProp",
@@ -56,7 +57,6 @@ __all__ = [
     "compile_property",
     "deadlock_free",
     "derive_verdicts",
-    "from_framework_event",
     "ordered",
     "parse_property",
     "progress",

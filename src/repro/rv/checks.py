@@ -11,6 +11,13 @@ Arming checks mirrors the telemetry facade, and is just as reversible:
   Filter-C tier keeps running compiled — with monitors off, the only
   statement-path cost is a predicted branch.
 
+Events are routed, not broadcast: a table maps each symbol to the armed,
+untripped checks whose monitor declares it (in check-id order), rebuilt
+whenever a check is added, removed, enabled, disabled or trips.  Only a
+routed event reads the shared :class:`~repro.sim.replay.DataflowEvent`
+projection (``event.flow``) — an event no armed monitor can be changed
+by is never projected by RV.
+
 A violation freezes the check into its :class:`~repro.rv.monitors.Verdict`
 and performs the check's on-violation action:
 
@@ -31,8 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import RvError
 from .compile import GraphView, compile_property
-from .events import from_framework_event
-from .monitors import DeadlockMonitor, Monitor, Verdict
+from .monitors import DeadlockMonitor, Monitor, Verdict, route_monitors
 from .props import Property, parse_property
 
 ACTIONS = ("stop", "log", "mark")
@@ -71,6 +77,8 @@ class Checks:
         self.armed = False
         self._sub = None
         self._events_seen = 0
+        #: symbol -> monitors of the armed, untripped checks, id order
+        self._routes: Dict[str, Tuple[Monitor, ...]] = {}
         #: properties queued before the graph exists (``--check`` flag);
         #: compiled at the first stop after the init phase completes
         self.pending: List[Tuple[str, str]] = []
@@ -128,8 +136,17 @@ class Checks:
     def _want_events(self) -> bool:
         return any(c.enabled for c in self.checks.values())
 
+    def _ordered(self) -> List[Check]:
+        return sorted(self.checks.values(), key=lambda c: c.id)
+
+    def _reroute(self) -> None:
+        """Rebuild the symbol routing table from the armed checks."""
+        self._routes = route_monitors(c.monitor for c in self._ordered() if c.enabled)
+
     def _rearm(self) -> None:
-        """Reconcile the bus subscription + CAP_RV bit with the registry."""
+        """Reconcile the routing table, the bus subscription and the
+        CAP_RV bit with the registry."""
+        self._reroute()
         want = self._want_events()
         dbg = self.session.dbg
         if want and not self.armed:
@@ -157,16 +174,21 @@ class Checks:
 
     def _on_event(self, event):
         self._events_seen += 1
-        ev = from_framework_event(event)
+        monitors = self._routes.get(event.symbol)
+        if not monitors:
+            return None
+        ev = event.flow
         index = self._position()
         suspend = None
-        for check in sorted(self.checks.values(), key=lambda c: c.id):
-            if not check.enabled or check.tripped:
-                continue
-            verdict = check.monitor.feed(ev, index)
+        tripped = False
+        for monitor in monitors:
+            verdict = monitor.feed(ev, index)
             if verdict is None:
                 continue
-            suspend = suspend or self._handle_violation(check, verdict)
+            tripped = True
+            suspend = suspend or self._handle_violation(self.checks[verdict.check_id], verdict)
+        if tripped:
+            self._reroute()
         return suspend
 
     def _handle_violation(self, check: Check, verdict: Verdict):
@@ -193,16 +215,20 @@ class Checks:
         if ev.kind != StopKind.DEADLOCK:
             return
         index = self._position()
-        for check in sorted(self.checks.values(), key=lambda c: c.id):
+        tripped = False
+        for check in self._ordered():
             if not check.enabled or check.tripped:
                 continue
             if not isinstance(check.monitor, DeadlockMonitor):
                 continue
             verdict = check.monitor.at_stop("deadlock", ev.time, index)
             if verdict is not None:
+                tripped = True
                 self.verdicts.append(verdict)
                 if check.action == "mark":
                     self.marks.append((verdict.index, verdict))
+        if tripped:
+            self._reroute()
 
     # ------------------------------------------------------------ replaying
 
@@ -216,7 +242,7 @@ class Checks:
             journal = getattr(self.session.replay, "master", None)
         if journal is None or journal.total_events == 0:
             raise RvError("nothing recorded yet (use 'record on' before running)")
-        props = [(c.id, c.prop) for c in sorted(self.checks.values(), key=lambda c: c.id)]
+        props = [(c.id, c.prop) for c in self._ordered()]
         if not props:
             raise RvError("no checks to derive (use 'check add' first)")
         return derive_verdicts(journal, props, self.graph())
@@ -228,7 +254,7 @@ class Checks:
             f"checks: {'armed' if self.armed else 'off'} "
             f"({len(self.checks)} defined, {len(self.verdicts)} verdict(s))"
         ]
-        for check in sorted(self.checks.values(), key=lambda c: c.id):
+        for check in self._ordered():
             lines.append(f"  {check.status()}")
         for text, action in self.pending:
             lines.append(f"  (pending until graph init) {text}  [on-violation: {action}]")

@@ -3,7 +3,8 @@
 The ReplayJournal's event log stores ``(time, actor, "symbol:phase",
 seq)`` per framework event; its side tables recover the link of every
 push/pop event and the target filter of every scheduling event — exactly
-the :class:`~repro.rv.events.RvEvent` fields the monitors consume.
+the :class:`~repro.sim.replay.DataflowEvent` fields the monitors
+consume, rebuilt by :meth:`~repro.sim.replay.ReplayJournal.iter_flow`.
 Feeding the journal through freshly compiled monitors therefore
 reproduces the *same* verdicts a live run would have raised, byte for
 byte; journaled deadlock stops re-trigger the wait-for analysis at the
@@ -16,45 +17,29 @@ lands the rebuilt machine on the exact violating event.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..sim.replay import ReplayJournal
 from .compile import GraphView, compile_property
-from .events import RvEvent
-from .monitors import Monitor, Verdict
-
-
-def journal_events(journal: ReplayJournal) -> Iterable[Tuple[int, RvEvent]]:
-    """Yield ``(position, RvEvent)`` for every available journal record.
-
-    Streams via :meth:`~repro.sim.replay.ReplayJournal.iter_indexed`: a
-    segment-rotating journal is walked one decompressed segment at a
-    time, so deriving verdicts from an arbitrarily long run never
-    materialises the whole event log in memory."""
-    for index, rec in journal.iter_indexed():
-        symbol, _, phase = rec.kind.rpartition(":")
-        yield index, RvEvent(
-            rec.time,
-            phase,
-            symbol,
-            rec.process,
-            rec.detail,
-            journal.link_for_event(index),
-            journal.target_for_event(index),
-        )
+from .monitors import Monitor, Verdict, route_monitors
 
 
 def run_monitors(journal: ReplayJournal, monitors: Sequence[Monitor]) -> List[Verdict]:
     """Drive compiled monitors over a journal, replaying deadlock stops
-    at their recorded positions.  Returns verdicts in stream order."""
+    at their recorded positions.  Each event goes only to the monitors
+    that declare its symbol (a tripped monitor ignores the rest anyway).
+    Returns verdicts in stream order."""
     verdicts: List[Verdict] = []
     stops = sorted(
         (s for s in journal.stops if s.kind == "deadlock"), key=lambda s: s.index
     )
+    routes = route_monitors(monitors)
     stop_i = 0
     position = 0
-    for position, ev in journal_events(journal):
-        for mon in monitors:
+    # iter_flow streams a segment-rotating journal one decompressed
+    # segment at a time: an arbitrarily long run is never materialised
+    for position, ev in journal.iter_flow():
+        for mon in routes.get(ev.symbol, ()):
             verdict = mon.feed(ev, position)
             if verdict is not None:
                 verdicts.append(verdict)

@@ -1,72 +1,26 @@
-"""Normalised monitor input: framework events reduced to journal fields.
+"""Normalised monitor input: the shared :class:`DataflowEvent` record.
 
 Byte-identity between live verdicts and replay-derived verdicts is
 achieved *by construction*, exactly like the telemetry subsystem: every
-monitor consumes :class:`RvEvent` tuples restricted to what a
+monitor consumes :class:`~repro.sim.replay.DataflowEvent` tuples, the
+one projection of a framework event that the journal, telemetry and RV
+all read.  It is restricted to what a
 :class:`~repro.sim.replay.ReplayJournal` can recover — simulated time,
 phase, symbol, acting actor, the token sequence number (data-exchange
 exits), the link name (push/pop, from the journal's per-event side
 table) and the scheduling target (``ACTOR_START``/``ACTOR_SYNC``, same
-side table).  Nothing live-only (argument dicts, object identities,
-wall-clock anything) may influence a verdict.
+side table).  Live, a bus event's record is
+:attr:`~repro.pedf.api.FrameworkEvent.flow` (built at most once per
+event); in replay, :meth:`~repro.sim.replay.ReplayJournal.iter_flow`.
+Nothing live-only (argument dicts, object identities, wall-clock
+anything) may influence a verdict.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from ..sim.replay import DataflowEvent
 
-from ..pedf.api import (
-    FrameworkEvent,
-    SYM_ACTOR_START,
-    SYM_ACTOR_SYNC,
-    SYM_POP,
-    SYM_PUSH,
-)
+#: the monitors' input record (kept as a name for existing callers)
+RvEvent = DataflowEvent
 
-#: symbols whose events carry a link name (push/pop, both phases)
-LINK_SYMBOLS = (SYM_PUSH, SYM_POP)
-#: symbols whose events carry a scheduling target filter (both phases)
-TARGET_SYMBOLS = (SYM_ACTOR_START, SYM_ACTOR_SYNC)
-
-
-class RvEvent(NamedTuple):
-    """One framework event, reduced to its journal-derivable fields."""
-
-    time: int
-    phase: str  # "entry" | "exit"
-    symbol: str
-    actor: str  # qualified acting actor, or "" (elaboration)
-    seq: Optional[int]  # token seq (push/pop exits only)
-    link: Optional[str]  # link name (push/pop only)
-    target: Optional[str]  # target filter (actor_start/actor_sync only)
-
-    def describe(self) -> str:
-        """Deterministic one-line witness rendering."""
-        extra = ""
-        if self.link is not None:
-            extra += f" link={self.link}"
-        if self.seq is not None:
-            extra += f" seq={self.seq}"
-        if self.target is not None:
-            extra += f" target={self.target}"
-        who = f" [{self.actor}]" if self.actor else ""
-        return f"t={self.time} {self.symbol}:{self.phase}{who}{extra}"
-
-
-def from_framework_event(event: FrameworkEvent) -> RvEvent:
-    """Reduce a live bus event to the journal-equivalent tuple.
-
-    Populates only fields a replay journal can recover (the per-event
-    link/target side tables and push/pop-exit token seqs), so live and
-    derived monitor inputs match field-for-field.
-    """
-    seq = None
-    link = None
-    target = None
-    if event.symbol in LINK_SYMBOLS:
-        link = event.args.get("link")
-        if event.phase == "exit":
-            seq = getattr(event.retval, "seq", None)
-    elif event.symbol in TARGET_SYMBOLS:
-        target = event.args.get("actor")
-    return RvEvent(event.time, event.phase, event.symbol, event.actor or "", seq, link, target)
+__all__ = ["DataflowEvent", "RvEvent"]

@@ -2,14 +2,19 @@
 
 A monitor is the lowered form of one property: a small counter machine
 (occupancy, rate, order, progress) or a wait-for-graph tracker
-(deadlock-free) fed every normalised framework event.  Monitors are
+(deadlock-free) fed normalised framework events.  Each monitor class
+declares in ``symbols`` the framework symbols that can change its
+state; :func:`route_monitors` turns a monitor list into a per-symbol
+routing table, so an event reaches only the monitors it can affect (and
+an event no monitor declares is never projected at all).  Monitors are
 **one-shot**: the first violation freezes the monitor into its verdict —
 the run may continue (``log``/``mark`` actions) without producing a
 verdict flood, and live/derived verdict streams stay identical.
 
 Determinism contract: a monitor's state is a pure function of the
-:class:`~repro.rv.events.RvEvent` stream plus compile-time graph tables
-(link endpoints, module membership) — never of live runtime objects.
+:class:`~repro.sim.replay.DataflowEvent` stream plus compile-time graph
+tables (link endpoints, module membership) — never of live runtime
+objects.
 Feeding the same journal through freshly compiled monitors therefore
 reproduces the live verdicts byte for byte.
 """
@@ -17,7 +22,7 @@ reproduces the live verdicts byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..pedf.api import (
     SYM_ACTOR_START,
@@ -30,7 +35,10 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
-from .events import RvEvent
+from ..sim.replay import DataflowEvent
+
+#: the data-exchange symbols token-counting monitors watch
+_TOKEN_SYMBOLS = frozenset((SYM_PUSH, SYM_POP))
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,9 @@ class Monitor:
 
     #: property family, mirrored into the verdict
     kind = "monitor"
+    #: the symbols whose events can change this monitor's state; events
+    #: of any other symbol are never routed to it
+    symbols: FrozenSet[str] = frozenset()
 
     def __init__(self, check_id: int, prop_text: str):
         self.check_id = check_id
@@ -78,7 +89,7 @@ class Monitor:
     def tripped(self) -> bool:
         return self.verdict is not None
 
-    def feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         if self.verdict is not None:
             return None
         verdict = self._feed(ev, index)
@@ -90,10 +101,11 @@ class Monitor:
         """Hook for stop-triggered evaluation (deadlock analysis)."""
         return None
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:  # pragma: no cover
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:  # pragma: no cover
         raise NotImplementedError
 
-    def _verdict(self, ev: RvEvent, index: int, message: str, actors=(), links=(), witness=()):
+    def _verdict(self, ev: DataflowEvent, index: int, message: str,
+                 actors=(), links=(), witness=()):
         return Verdict(
             check_id=self.check_id,
             prop=self.prop_text,
@@ -107,11 +119,24 @@ class Monitor:
         )
 
 
+def route_monitors(monitors: Iterable[Monitor]) -> Dict[str, Tuple[Monitor, ...]]:
+    """The routing table: symbol -> the untripped ``monitors`` that
+    declare it, in the given order (so verdicts keep their order)."""
+    routes: Dict[str, List[Monitor]] = {}
+    for mon in monitors:
+        if mon.tripped:
+            continue
+        for symbol in mon.symbols:
+            routes.setdefault(symbol, []).append(mon)
+    return {symbol: tuple(mons) for symbol, mons in routes.items()}
+
+
 class OccupancyMonitor(Monitor):
     """Counts push/pop exits on one link; trips when the occupancy
     leaves the declared bound."""
 
     kind = "occupancy"
+    symbols = _TOKEN_SYMBOLS
 
     def __init__(self, check_id, prop_text, link: str, op: str, bound: int,
                  src_actor: str, dst_actor: str):
@@ -123,7 +148,7 @@ class OccupancyMonitor(Monitor):
         self.dst_actor = dst_actor
         self.occupancy = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         if ev.phase != "exit" or ev.link != self.link:
             return None
         if ev.symbol == SYM_PUSH:
@@ -150,6 +175,7 @@ class RateMonitor(Monitor):
     every token event on either link."""
 
     kind = "rate"
+    symbols = _TOKEN_SYMBOLS
 
     def __init__(self, check_id, prop_text, produced_link: str, produced_sym: str,
                  consumed_link: str, consumed_sym: str, num: int, den: int, tol: int,
@@ -166,7 +192,7 @@ class RateMonitor(Monitor):
         self.produced = 0
         self.consumed = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         if ev.phase != "exit":
             return None
         counted = False
@@ -200,6 +226,7 @@ class OrderMonitor(Monitor):
     least N token events on ``before``."""
 
     kind = "order"
+    symbols = _TOKEN_SYMBOLS
 
     def __init__(self, check_id, prop_text, before_link: str, before_sym: str,
                  after_link: str, after_sym: str, actors: Tuple[str, ...]):
@@ -212,7 +239,7 @@ class OrderMonitor(Monitor):
         self.before_count = 0
         self.after_count = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         if ev.phase != "exit":
             return None
         if ev.link == self.before_link and ev.symbol == self.before_sym:
@@ -236,6 +263,7 @@ class ProgressMonitor(Monitor):
     steps (counted over all controllers' STEP_BEGIN entries)."""
 
     kind = "progress"
+    symbols = frozenset((SYM_WORK_ENTER, SYM_STEP_BEGIN))
 
     def __init__(self, check_id, prop_text, actor: str, every: int):
         super().__init__(check_id, prop_text)
@@ -244,7 +272,7 @@ class ProgressMonitor(Monitor):
         self.steps_since_fire = 0
         self.fired_in_window = False
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         if ev.phase != "entry":
             return None
         if ev.symbol == SYM_WORK_ENTER and ev.actor == self.actor:
@@ -292,6 +320,10 @@ class DeadlockMonitor(Monitor):
     """
 
     kind = "deadlock"
+    symbols = frozenset((
+        SYM_PUSH, SYM_POP, SYM_WAIT_INIT, SYM_WAIT_SYNC,
+        SYM_ACTOR_START, SYM_ACTOR_SYNC, SYM_WORK_ENTER, SYM_WORK_EXIT,
+    ))
 
     def __init__(self, check_id, prop_text,
                  link_ends: Dict[str, Tuple[str, str]],
@@ -300,13 +332,11 @@ class DeadlockMonitor(Monitor):
         self.link_ends = link_ends  # link name -> (src actor, dst actor)
         self.module_filters = module_filters  # controller -> filters
         self.state = _WaitState()
-        self._last_time = 0
 
     # ------------------------------------------------------------- feeding
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: DataflowEvent, index: int) -> Optional[Verdict]:
         st = self.state
-        self._last_time = ev.time
         if ev.symbol in (SYM_PUSH, SYM_POP):
             if ev.phase == "entry" and ev.link is not None:
                 st.pending_io[ev.actor] = ("push" if ev.symbol == SYM_PUSH else "pop", ev.link)
@@ -364,7 +394,7 @@ class DeadlockMonitor(Monitor):
         blocked = sorted(set(st.pending_io) | set(st.pending_wait))
         edges = {a: self.waits_of(a) for a in blocked}
         if not blocked:
-            fake = RvEvent(time, "exit", "deadlock", "", None, None, None)
+            fake = DataflowEvent(time, "exit", "deadlock", "", None)
             self.verdict = self._verdict(
                 fake, index,
                 "platform deadlocked with no actor inside a blocking framework "
@@ -411,7 +441,7 @@ class DeadlockMonitor(Monitor):
         # implicated-entity lists: deterministic, deduplicated, first-seen order
         actors = list(dict.fromkeys(actors))
         links = list(dict.fromkeys(links))
-        fake = RvEvent(time, "exit", "deadlock", "", None, None, None)
+        fake = DataflowEvent(time, "exit", "deadlock", "", None)
         self.verdict = self._verdict(fake, index, message, actors, links, witness)
         return self.verdict
 

@@ -24,7 +24,7 @@ from .process import Process, ProcessState, Delay, WaitEvent, Suspend, Yield
 from .events import Event
 from .channels import Fifo
 from .trace import TraceRecorder, TraceRecord, TraceSnapshot
-from .replay import AlterationRecord, Checkpoint, ReplayJournal, StopRecord
+from .replay import AlterationRecord, Checkpoint, DataflowEvent, ReplayJournal, StopRecord
 
 __all__ = [
     "Scheduler",
@@ -42,6 +42,7 @@ __all__ = [
     "TraceRecord",
     "TraceSnapshot",
     "ReplayJournal",
+    "DataflowEvent",
     "Checkpoint",
     "StopRecord",
     "AlterationRecord",

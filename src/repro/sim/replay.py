@@ -46,7 +46,7 @@ so nothing is ever lost and memory stays bounded on unbounded runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReplayError
 from .segments import DEFAULT_SEGMENT_WINDOW, SegmentStore
@@ -57,6 +57,39 @@ from .trace import TraceRecord, TraceRecorder
 TOKEN_EVENT_KIND = "pedf_rt_push:exit"
 
 DEFAULT_CHECKPOINT_INTERVAL = 64
+
+
+class DataflowEvent(NamedTuple):
+    """One framework event, reduced to its journal-derivable fields.
+
+    The single projection every event consumer reads.  Live, it is built
+    at most once per event by :attr:`~repro.pedf.api.FrameworkEvent.flow`
+    and shared by the journal, telemetry and runtime verification; in
+    replay, :meth:`ReplayJournal.iter_flow` rebuilds the same tuples from
+    the event log and its side tables.  Nothing live-only (argument
+    dicts, object identities, wall clock) is in it, which is what makes
+    live and journal-derived spans, metrics and verdicts byte-identical.
+    """
+
+    time: int
+    phase: str  # "entry" | "exit"
+    symbol: str
+    actor: str  # qualified acting actor, or "" (elaboration)
+    seq: Optional[int]  # token seq (push/pop exits only)
+    link: Optional[str] = None  # link name (push/pop, both phases)
+    target: Optional[str] = None  # target filter (actor_start/actor_sync)
+
+    def describe(self) -> str:
+        """Deterministic one-line witness rendering."""
+        extra = ""
+        if self.link is not None:
+            extra += f" link={self.link}"
+        if self.seq is not None:
+            extra += f" seq={self.seq}"
+        if self.target is not None:
+            extra += f" target={self.target}"
+        who = f" [{self.actor}]" if self.actor else ""
+        return f"t={self.time} {self.symbol}:{self.phase}{who}{extra}"
 
 
 @dataclass(frozen=True)
@@ -153,6 +186,9 @@ class ReplayJournal:
         self._total = 0
         self._max_seq: Optional[int] = None
         self._cp_by_dispatch: Dict[int, Checkpoint] = {}
+        #: the record the last ``add_event`` stored (None if a cap
+        #: dropped it) — what a replay verifies without a lookup
+        self.last_record: Optional[TraceRecord] = None
 
     # ------------------------------------------------------------ recording
 
@@ -176,14 +212,32 @@ class ReplayJournal:
     def add_event(
         self, time: int, phase: str, symbol: str, actor: Optional[str], seq: Optional[int]
     ) -> int:
-        """Append one framework event; returns its 1-based position."""
+        """Append one framework event without side-table entries; returns
+        its 1-based position."""
+        return self.add_flow(DataflowEvent(time, phase, symbol, actor or "", seq))
+
+    def add_flow(self, ev: DataflowEvent) -> int:
+        """Append one framework event's projection, with its link and
+        target side-table entries; returns its 1-based position.  The
+        inverse of :meth:`iter_flow`."""
         self._total += 1
+        index = self._total
+        seq = ev.seq
         if seq is not None and (self._max_seq is None or seq > self._max_seq):
             self._max_seq = seq
-        self.events.record(time, actor or "", f"{symbol}:{phase}", seq)
+        self.last_record = self.events.record(ev.time, ev.actor, f"{ev.symbol}:{ev.phase}", seq)
         if self.segments is not None and len(self.events) >= self.window:
             self._rotate()
-        return self._total
+        link = ev.link
+        if link:
+            self.event_links[index] = link
+            if seq is not None:
+                # first note wins: the push that minted the seq
+                self.token_links.setdefault(seq, link)
+        target = ev.target
+        if target:
+            self.event_targets[index] = target
+        return index
 
     def _rotate(self) -> None:
         """Move the oldest half-window of the in-memory log (and its side
@@ -214,28 +268,11 @@ class ReplayJournal:
                     tokens[rec.detail] = link
         self.segments.rotate(first, records, links, targets, values, tokens)
 
-    def note_token_link(self, seq: Optional[int], link: Optional[str]) -> None:
-        """Remember which link carried token ``seq`` (first note wins)."""
-        if seq is not None and link:
-            self.token_links.setdefault(seq, link)
-
     def note_event_value(self, index: int, value_text: Optional[str]) -> None:
         """Remember the canonical payload text pushed by the event at
         position ``index``.  Side table only — not fingerprint-compared."""
         if value_text is not None:
             self.event_values[index] = value_text
-
-    def note_event_link(self, index: int, link: Optional[str]) -> None:
-        """Remember which link a push/pop event (at position ``index``)
-        operated on.  Side table only — not fingerprint-compared."""
-        if link:
-            self.event_links[index] = link
-
-    def note_event_target(self, index: int, target: Optional[str]) -> None:
-        """Remember the target filter of a scheduling event (actor_start
-        / actor_sync) at position ``index``.  Side table only."""
-        if target:
-            self.event_targets[index] = target
 
     def add_checkpoint(self, cp: Checkpoint) -> None:
         self.checkpoints.append(cp)
@@ -342,6 +379,25 @@ class ReplayJournal:
         for offset, rec in enumerate(self.events):
             if kind is None or rec.kind == kind:
                 yield base + offset + 1, rec
+
+    def iter_flow(self) -> Iterator[Tuple[int, DataflowEvent]]:
+        """Stream ``(position, DataflowEvent)`` over everything still
+        available — the one replay-side projection that telemetry, RV and
+        aggregate derivation consume.  Each distinct ``symbol:phase`` kind
+        is split once; link and target come from the side tables."""
+        split: Dict[str, Tuple[str, str]] = {}
+        link_for = self.link_for_event
+        target_for = self.target_for_event
+        for index, rec in self.iter_indexed():
+            kind = rec.kind
+            parts = split.get(kind)
+            if parts is None:
+                symbol, _, phase = kind.rpartition(":")
+                parts = split[kind] = (symbol, phase)
+            yield index, DataflowEvent(
+                rec.time, parts[1], parts[0], rec.process, rec.detail,
+                link_for(index), target_for(index),
+            )
 
     def token_stream(self, kind: str = TOKEN_EVENT_KIND) -> List[int]:
         """Global seq numbers of every recorded token production, in

@@ -17,16 +17,21 @@ strings (``lambda: repr(exc)``) for free on the fast path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One stored record (a tuple: cheap to build on the journal's hot path)."""
+
     time: int
     process: str
     kind: str
     detail: Any = None
+
+
+#: builds a record without the generated ``__new__``'s Python frame
+#: (same tuple as ``TraceRecord(...)``; the journal makes one per event)
+_new_record = tuple.__new__
 
 
 class TraceSnapshot(NamedTuple):
@@ -79,7 +84,11 @@ class TraceRecorder:
         way to read a recorder's full state without poking internals."""
         return TraceSnapshot(list(self._records), dict(self.kind_counts), self.dropped)
 
-    def record(self, time: int, process: str, kind: str, detail: Any = None) -> None:
+    def record(
+        self, time: int, process: str, kind: str, detail: Any = None
+    ) -> Optional[TraceRecord]:
+        """Count one event and store it; returns the stored record, or
+        None when the cap dropped it."""
         counts = self.kind_counts
         counts[kind] = counts.get(kind, 0) + 1
         limit = self.limit
@@ -87,21 +96,22 @@ class TraceRecorder:
             if not self.ring:
                 # capped mode: drop the newest without building the record
                 self.dropped += 1
-                return
+                return None
             if limit <= 0:
                 self.dropped += 1
-                return
+                return None
             evicted = self._records.popleft()
             self._by_kind[evicted.kind].popleft()
             self.dropped += 1
         if callable(detail):
             detail = detail()
-        rec = TraceRecord(time, process, kind, detail)
+        rec = _new_record(TraceRecord, (time, process, kind, detail))
         self._records.append(rec)
         bucket = self._by_kind.get(kind)
         if bucket is None:
             bucket = self._by_kind[kind] = deque()
         bucket.append(rec)
+        return rec
 
     def drain_oldest(self, n: int) -> List[TraceRecord]:
         """Remove and return the ``n`` oldest stored records (in order).

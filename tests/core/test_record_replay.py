@@ -7,8 +7,6 @@ dataflow stop, alteration re-application, timeline forks, and the CLI
 surface (`record` / `replay` / `info replay`).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.apps.rle import build_rle_pipeline
@@ -141,7 +139,7 @@ def test_divergence_self_check_trips_on_tampered_journal():
     mgr.record_on()
     run_to_exit(session.dbg)
     events = mgr.master.events
-    tampered = dataclasses.replace(events.at(10), time=events.at(10).time + 977)
+    tampered = events.at(10)._replace(time=events.at(10).time + 977)
     # deliberate corruption: there is no public mutator, by design
     events._records[10] = tampered
     with pytest.raises(ReplayDivergenceError, match="diverged at event #11"):

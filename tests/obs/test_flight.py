@@ -9,7 +9,7 @@ import pytest
 from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
 from repro.dbg import CommandCli, Debugger, StopKind
-from repro.obs.flight import AUTO_DUMP_KINDS, FlightRecorder
+from repro.obs.flight import AUTO_DUMP_KINDS, SPAN_LIMIT, FlightRecorder
 
 
 def rle_session(**kw):
@@ -135,3 +135,52 @@ def test_bundle_carries_journal_refs():
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     refs = session.flight.bundle("manual")["journal"]
     assert refs is not None and refs["total_events"] > 0
+
+
+# ------------------------------------------------ one span pass with telemetry
+
+
+def test_ring_is_the_tail_of_the_telemetry_span_stream():
+    sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7] * 8)
+    session = DataflowSession(Debugger(sched, runtime))
+    session.telemetry.enable()
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    spans = session.telemetry.sink.spans
+    assert session.telemetry.sink.dropped == 0
+    assert len(spans) > SPAN_LIMIT  # the ring had to evict
+    assert session.flight.sink.spans == spans[-SPAN_LIMIT:]
+    assert session.flight.sink.dropped == len(spans) - SPAN_LIMIT
+
+
+def test_bundle_metrics_are_info_metrics():
+    session, cli = rle_session()
+    session.telemetry.enable()
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    metrics = session.flight.bundle("manual")["metrics"]
+    assert metrics and metrics == cli.execute("info metrics all")
+
+
+def test_trace_clear_keeps_ring_and_deltas_stay_non_negative():
+    session, cli = rle_session(stop_on_init=True)
+    session.telemetry.enable()
+    session.dbg.run()
+    cli.execute("filter expand catch work")
+    for _ in range(3):
+        assert session.dbg.cont().kind == StopKind.DATAFLOW
+    before = session.flight.sink.spans
+    assert before
+    cli.execute("trace clear")
+    cli.execute("delete")
+    ev = session.dbg.cont()
+    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
+        ev = session.dbg.cont()
+    assert ev.kind == StopKind.EXITED
+    after = session.flight.sink.spans
+    assert len(after) < SPAN_LIMIT  # nothing evicted: the old spans stay
+    assert after[: len(before)] == before
+    assert len(after) > len(before)
+    for delta in session.flight.deltas:
+        for counts in delta["actors"].values():
+            assert all(value >= 0 for value in counts.values()), delta
+    # the exit delta counts what happened since the clear
+    assert session.flight.deltas[-1]["actors"]

@@ -12,7 +12,7 @@ is complete.
 import pytest
 
 from repro.errors import ReplayError
-from repro.sim.replay import ReplayJournal
+from repro.sim.replay import DataflowEvent, ReplayJournal
 from repro.sim.segments import SegmentStore
 from repro.sim.trace import TraceRecorder
 
@@ -21,12 +21,14 @@ def fill(journal, n, start_seq=1):
     """Record n push exits (seq start_seq..) with full side tables."""
     for k in range(n):
         seq = start_seq + k
-        index = journal.add_event(k * 10, "exit", "pedf_rt_push", f"actor{k % 3}", seq)
-        journal.note_token_link(seq, f"link{k % 4}")
-        journal.note_event_link(index, f"link{k % 4}")
+        index = journal.add_flow(
+            DataflowEvent(k * 10, "exit", "pedf_rt_push", f"actor{k % 3}", seq, f"link{k % 4}")
+        )
         journal.note_event_value(index, str(seq * 7))
-        index = journal.add_event(k * 10, "exit", "pedf_rt_actor_start", "ctl", None)
-        journal.note_event_target(index, f"actor{k % 3}")
+        journal.add_flow(
+            DataflowEvent(k * 10, "exit", "pedf_rt_actor_start", "ctl", None,
+                          target=f"actor{k % 3}")
+        )
 
 
 # ----------------------------------------------------------- TraceRecorder
