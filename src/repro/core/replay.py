@@ -57,6 +57,7 @@ from ..sim.replay import (
     Checkpoint,
     ReplayJournal,
     StopRecord,
+    stable_value_text,
 )
 from ..sim.segments import DEFAULT_SEGMENT_WINDOW
 from ..sim.snapshot import DEFAULT_SNAPSHOT_EVERY, MachineState, capture_machine_state
@@ -123,28 +124,30 @@ class RunRecorder:
     def _on_event(self, event: FrameworkEvent) -> Optional[Suspend]:
         ev = event.flow
         journal = self.journal
+        ref = self.reference
+        expected = None
+        if ref is not None and self.divergence is None:
+            position = journal.total_events + 1
+            if position <= ref.total_events:
+                expected = ref.record_at(position)
+                if expected is None:
+                    self._note_uncovered(position)
+                elif expected == ev:
+                    # verified: store the recorded tuple itself, so replayed
+                    # journals share the master's events instead of copying
+                    ev = expected
+                    expected = None
+                    self.events_compared += 1
         index = journal.add_flow(ev)
         if ev.symbol == SYM_PUSH and ev.phase == "exit" and event.retval is not None:
-            from ..sim.sharding.merge import stable_value_text
-
             journal.note_event_value(index, stable_value_text(event.retval.value))
-
-        ref = self.reference
-        if ref is not None and self.divergence is None and index <= ref.total_events:
-            expected = ref.record_at(index)
-            got = journal.last_record
-            if expected is None:
-                self._note_uncovered(index)
-            elif got is not None:
-                if got != expected:
-                    self.divergence = (
-                        f"replay diverged at event #{index}: recorded "
-                        f"{ReplayJournal.describe_record(expected)}, replayed "
-                        f"{ReplayJournal.describe_record(got)}"
-                    )
-                    stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=event.time)
-                    return self.dbg.external_suspend(stop)
-                self.events_compared += 1
+        if expected is not None:
+            self.divergence = (
+                f"replay diverged at event #{index}: recorded "
+                f"{expected.describe()}, replayed {ev.describe()}"
+            )
+            stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=event.time)
+            return self.dbg.external_suspend(stop)
 
         # re-apply journaled alterations at their recorded positions, before
         # execution proceeds past this event (a deadlock-untying insert must
@@ -437,21 +440,21 @@ class ReplayManager:
         self.pool.clear()
 
     def _evict_one(self) -> None:
-        """Evict the resident whose removal hurts coverage least: the one
-        closest to its predecessor in position order (position 0 — the
-        free rebuild — counts as a virtual resident)."""
+        """Evict the resident whose removal adds least to the expected
+        tail of a uniformly random hop.  That tail is proportional to the
+        sum of squared gaps between consecutive residents (position 0,
+        the free rebuild, and the journal end are fixed ends), and
+        removing a resident merges its two gaps, adding
+        ``2 * g_left * g_right`` — so evict the smallest product."""
         if not self.pool:
             return
         ordered = sorted(self.pool, key=lambda r: r.position)
-        prev = 0
-        victim = ordered[0]
-        best_gap = None
-        for res in ordered:
-            gap = res.position - prev
-            if best_gap is None or gap < best_gap:
-                best_gap = gap
-                victim = res
-            prev = res.position
+        bounds = [0] + [r.position for r in ordered] + [self.master.total_events]
+        cheapest = min(
+            range(len(ordered)),
+            key=lambda i: (bounds[i + 1] - bounds[i]) * (bounds[i + 2] - bounds[i + 1]),
+        )
+        victim = ordered[cheapest]
         victim.recorder.detach()
         self.pool.remove(victim)
 

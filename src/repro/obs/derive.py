@@ -1,9 +1,9 @@
 """Replay-side telemetry derivation: profile a recorded run post-hoc.
 
-The ReplayJournal's event log plus its side tables hold every field of
-the :class:`~repro.sim.replay.DataflowEvent` the span builder consumes,
-and :meth:`~repro.sim.replay.ReplayJournal.iter_flow` rebuilds those
-records.  Feeding them through a fresh builder therefore reconstructs
+The ReplayJournal's event log stores the
+:class:`~repro.sim.replay.DataflowEvent` records the span builder
+consumes, and :meth:`~repro.sim.replay.ReplayJournal.iter_flow` streams
+them back.  Feeding them through a fresh builder therefore reconstructs
 the *same* spans and metrics a live run would have collected,
 byte-for-byte (the builder never looks at live-only data by design; see
 :mod:`repro.obs.builder`).

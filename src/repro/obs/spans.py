@@ -7,17 +7,18 @@ it, or a leaf framework call (push/pop/wait/...).  Spans are immutable
 and carry only journal-derivable fields, so the live collector and the
 replay-side deriver produce byte-identical streams.
 
-:class:`SpanSink` is the bounded store, mirroring
-:class:`~repro.sim.trace.TraceRecorder`'s two policies (cap keeps the
-first ``limit`` spans, ring the last) with the same O(1) bookkeeping
-and a lifetime per-name counter, so ``info spans`` can report totals
-even after eviction and warn when ``dropped > 0``.
+:class:`SpanSink` is the bounded store: the
+:class:`~repro.sim.store.BoundedStore` the replay journal also keeps its
+event log in (cap keeps the first ``limit`` spans, ring the last), with
+a lifetime per-name counter, so ``info spans`` can report totals even
+after eviction and warn when ``dropped > 0``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from ..sim.store import BoundedStore
 
 
 class Span(NamedTuple):
@@ -42,60 +43,28 @@ class Span(NamedTuple):
         return f"[{self.begin}..{self.end}] {self.track} {self.name} ({self.cat}){extra}"
 
 
+_NAME_FIELD = Span._fields.index("name")
+
+
 class SpanSnapshot(NamedTuple):
-    """Atomic copy of a sink's state (see TraceSnapshot)."""
+    """Atomic copy of a sink's state (see StoreSnapshot)."""
 
     spans: List[Span]
     name_counts: Dict[str, int]
     dropped: int
 
 
-class SpanSink:
-    """Bounded span store; cheap enough to leave armed for a whole run."""
+class SpanSink(BoundedStore):
+    """Bounded span store: a :class:`BoundedStore` counting spans by name."""
 
-    __slots__ = ("limit", "ring", "dropped", "name_counts", "_spans")
+    __slots__ = ()
 
     def __init__(self, limit: Optional[int] = None, ring: bool = False):
-        self.limit = limit
-        self.ring = ring
-        self.dropped = 0
-        #: lifetime spans seen per name (including dropped/evicted ones)
-        self.name_counts: Dict[str, int] = {}
-        self._spans: Deque[Span] = deque()
+        super().__init__(limit, ring, count_field=_NAME_FIELD)
 
-    @property
-    def spans(self) -> List[Span]:
-        """Stored spans, in close order (a child closes before its parent)."""
-        return list(self._spans)
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
-
-    def add(self, span: Span) -> None:
-        counts = self.name_counts
-        counts[span.name] = counts.get(span.name, 0) + 1
-        limit = self.limit
-        if limit is not None and len(self._spans) >= limit:
-            if not self.ring or limit <= 0:
-                # cap mode drops the newest; a zero-capacity ring drops too
-                self.dropped += 1
-                return
-            self._spans.popleft()
-            self.dropped += 1
-        self._spans.append(span)
-
-    def total(self, name: str) -> int:
-        """Lifetime spans of one name, including dropped/evicted."""
-        return self.name_counts.get(name, 0)
+    #: stored spans, in close order (a child closes before its parent)
+    spans = BoundedStore.records
 
     def snapshot(self) -> SpanSnapshot:
         """Atomically copy (spans, name_counts, dropped)."""
-        return SpanSnapshot(list(self._spans), dict(self.name_counts), self.dropped)
-
-    def clear(self) -> None:
-        self._spans.clear()
-        self.name_counts.clear()
-        self.dropped = 0
+        return SpanSnapshot(list(self._records), dict(self.name_counts), self.dropped)

@@ -68,7 +68,7 @@ class Telemetry:
 
     def enable(self, limit: Optional[int] = None, ring: bool = False) -> None:
         """Start collecting (idempotent).  ``limit``/``ring`` bound the
-        span sink with TraceRecorder's cap/ring policies; asking for a
+        span sink with the BoundedStore cap/ring policies; asking for a
         bound other than the existing sink's raises instead of silently
         keeping the old one."""
         requested = (limit, bool(ring)) if limit is not None else (None, False)

@@ -22,7 +22,7 @@ from ..cminus.interp import CostModel, Interpreter
 from ..cminus.values import Raw, Value, default_value
 from ..errors import PedfError
 from ..sim.channels import Fifo
-from ..sim.process import WaitEvent
+from ..sim.process import ProcessState, WaitEvent
 from .api import (
     SYM_ACTOR_START,
     SYM_ACTOR_SYNC,
@@ -116,8 +116,6 @@ class ActorInst:
     @property
     def blocked(self) -> bool:
         """Whether the actor is blocked waiting for data."""
-        from ..sim.process import ProcessState
-
         return self.process is not None and self.process.state == ProcessState.WAITING
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

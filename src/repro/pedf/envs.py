@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..cminus.interp import Environment
 from ..cminus.typesys import CType
-from ..cminus.values import Raw, copy_raw
+from ..cminus.values import Raw, coerce, copy_raw
 from ..errors import CMinusRuntimeError, PedfError
 from .tokens import Token
 
@@ -82,8 +82,6 @@ class ActorEnv(Environment):
         slot = self.actor.data_store.get(name)
         if slot is None:
             raise CMinusRuntimeError(f"{self.actor.qualname}: no private data {name!r}")
-        from ..cminus.values import coerce
-
         slot.data = coerce(value, slot.ctype)
 
     def attr_get(self, name: str) -> Raw:

@@ -21,6 +21,7 @@ from ..errors import PedfError
 from ..p2012.soc import LinkCost, P2012Platform
 from ..sim.channels import Fifo
 from ..sim.kernel import Scheduler, StopKind, StopReason
+from ..sim.replay import stable_value_text
 from .actors import ActorInst, ActorState, ControllerInst, FilterInst, ModuleInst
 from .api import (
     SYM_BIND,
@@ -133,8 +134,6 @@ class PedfRuntime:
         compiled tier keeps no frames) and must stay out of anything
         compared across interpreter tiers.
         """
-        from ..sim.sharding.merge import stable_value_text
-
         links = tuple(
             (link.name, tuple((t.seq, stable_value_text(t.value)) for t in link.tokens()))
             for link in self.links

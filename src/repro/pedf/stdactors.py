@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cminus.typesys import CType
 from ..cminus.values import Raw
-from ..sim.process import Delay
+from ..sim.process import Delay, ProcessState
 from .decls import IfaceDecl
 from .links import IfaceInst
 from .tokens import Token
@@ -58,8 +58,6 @@ class _HostActorBase:
 
     @property
     def blocked(self) -> bool:
-        from ..sim.process import ProcessState
-
         return self.process is not None and self.process.state == ProcessState.WAITING
 
 

@@ -1,10 +1,10 @@
 """Replay-side re-verification: judge a recorded run post-hoc.
 
-The ReplayJournal's event log stores ``(time, actor, "symbol:phase",
-seq)`` per framework event; its side tables recover the link of every
-push/pop event and the target filter of every scheduling event — exactly
-the :class:`~repro.sim.replay.DataflowEvent` fields the monitors
-consume, rebuilt by :meth:`~repro.sim.replay.ReplayJournal.iter_flow`.
+The ReplayJournal's event log stores each framework event's
+:class:`~repro.sim.replay.DataflowEvent` — exactly the record the
+monitors consume, link of every push/pop and target filter of every
+scheduling event included — and
+:meth:`~repro.sim.replay.ReplayJournal.iter_flow` streams it back.
 Feeding the journal through freshly compiled monitors therefore
 reproduces the *same* verdicts a live run would have raised, byte for
 byte; journaled deadlock stops re-trigger the wait-for analysis at the

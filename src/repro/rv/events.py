@@ -7,9 +7,8 @@ one projection of a framework event that the journal, telemetry and RV
 all read.  It is restricted to what a
 :class:`~repro.sim.replay.ReplayJournal` can recover — simulated time,
 phase, symbol, acting actor, the token sequence number (data-exchange
-exits), the link name (push/pop, from the journal's per-event side
-table) and the scheduling target (``ACTOR_START``/``ACTOR_SYNC``, same
-side table).  Live, a bus event's record is
+exits), the link name (push/pop) and the scheduling target
+(``ACTOR_START``/``ACTOR_SYNC``).  Live, a bus event's record is
 :attr:`~repro.pedf.api.FrameworkEvent.flow` (built at most once per
 event); in replay, :meth:`~repro.sim.replay.ReplayJournal.iter_flow`.
 Nothing live-only (argument dicts, object identities, wall-clock

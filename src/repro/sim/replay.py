@@ -7,11 +7,12 @@ the start, *provided nothing external perturbs it*.  The journal records
 everything needed to (a) navigate a finished or stopped execution by
 position and (b) prove the re-execution really is identical:
 
-- a compact **event log** — one entry per framework event (entry/exit of
-  ``pedf_rt_*``), carrying the simulated time, the acting actor and, for
-  data-exchange exits, the token's global sequence number.  The log
-  doubles as a fingerprint stream: replaying compares each event against
-  the recorded one (the determinism self-check).
+- a compact **event log** — one :class:`DataflowEvent` per framework
+  event (entry/exit of ``pedf_rt_*``): simulated time, acting actor, the
+  token's global sequence number (data-exchange exits), link and
+  scheduling target.  The log doubles as a fingerprint stream: replaying
+  compares each whole event against the recorded one (the determinism
+  self-check).
 - periodic **checkpoints** — digests taken every N completed dispatches:
   simulated time, next token seq, per-link occupancy as token-seq
   tuples.  A replay that matches every digest en route has provably
@@ -34,13 +35,20 @@ events), not dispatch counts or timestamps: the event stream is invariant
 under interactive stops, and an index names an exact mid-dispatch machine
 state (the moment just after that event's listeners ran).
 
-Storage reuses :class:`~repro.sim.trace.TraceRecorder` (same dual
-cap/ring policies, same O(1) per-kind indexing).  With ``segment_dir``
-set, the journal instead keeps a sliding in-memory window and rotates
-older events — side tables included — into compressed on-disk
-:mod:`segments <repro.sim.segments>`; every query and the streaming
-:meth:`ReplayJournal.iter_indexed` fall back to segments transparently,
-so nothing is ever lost and memory stays bounded on unbounded runs.
+The event log stores each event's :class:`DataflowEvent` as is — the
+projection :attr:`~repro.pedf.api.FrameworkEvent.flow` already built —
+in a :class:`~repro.sim.store.BoundedStore` (the span sink's cap/ring
+store), so recording is one append.  A replay compares each event with
+the recorded one as one tuple compare and then stores the *recorded*
+tuple, so every replayed machine's journal shares the master's event
+objects instead of copying them; the tuples are immutable, so sharing
+stays safe after an alteration forks the timeline.  With
+``segment_dir`` set, the journal instead keeps a sliding in-memory
+window and rotates older events — side tables included — into
+compressed on-disk :mod:`segments <repro.sim.segments>`; every query and
+the streaming :meth:`ReplayJournal.iter_flow` fall back to segments
+transparently, so nothing is ever lost and memory stays bounded on
+unbounded runs.
 """
 
 from __future__ import annotations
@@ -50,13 +58,29 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReplayError
 from .segments import DEFAULT_SEGMENT_WINDOW, SegmentStore
-from .trace import TraceRecord, TraceRecorder
+from .store import BoundedStore
 
-#: event-log kind of a completed token production — the determinism
-#: fingerprint stream ("symbol:phase", see ReplayJournal.add_event)
-TOKEN_EVENT_KIND = "pedf_rt_push:exit"
+#: (symbol, phase) of a completed token production — the determinism
+#: fingerprint stream (see ReplayJournal.token_stream)
+TOKEN_EVENT = ("pedf_rt_push", "exit")
 
 DEFAULT_CHECKPOINT_INTERVAL = 64
+
+
+def stable_value_text(raw: Any) -> str:
+    """Canonical text of a token payload (Filter-C ``Raw``): ints, bools,
+    lists and dicts only, with dict keys emitted in sorted order so the
+    text is independent of insertion order."""
+    if isinstance(raw, bool):
+        return "true" if raw else "false"
+    if isinstance(raw, int):
+        return str(raw)
+    if isinstance(raw, list):
+        return "[" + ",".join(stable_value_text(x) for x in raw) + "]"
+    if isinstance(raw, dict):
+        inner = ",".join(f"{k}={stable_value_text(raw[k])}" for k in sorted(raw))
+        return "{" + inner + "}"
+    return repr(raw)
 
 
 class DataflowEvent(NamedTuple):
@@ -64,9 +88,9 @@ class DataflowEvent(NamedTuple):
 
     The single projection every event consumer reads.  Live, it is built
     at most once per event by :attr:`~repro.pedf.api.FrameworkEvent.flow`
-    and shared by the journal, telemetry and runtime verification; in
-    replay, :meth:`ReplayJournal.iter_flow` rebuilds the same tuples from
-    the event log and its side tables.  Nothing live-only (argument
+    and shared by the journal, telemetry and runtime verification; the
+    journal stores it as is and :meth:`ReplayJournal.iter_flow` streams
+    the stored tuples back.  Nothing live-only (argument
     dicts, object identities, wall clock) is in it, which is what makes
     live and journal-derived spans, metrics and verdicts byte-identical.
     """
@@ -147,7 +171,7 @@ class ReplayJournal:
             # segment rotation bounds memory without losing anything, so
             # the lossy cap/ring policies are mutually exclusive with it
             limit, ring = None, False
-        self.events = TraceRecorder(limit=limit, ring=ring)
+        self.events = BoundedStore(limit=limit, ring=ring)
         self.segments: Optional[SegmentStore] = (
             SegmentStore(segment_dir) if segment_dir is not None else None
         )
@@ -160,15 +184,6 @@ class ReplayJournal:
         #: recorded token events to links.  Rotates into segments with
         #: the push event that minted the seq (see ``token_link``).
         self.token_links: Dict[int, str] = {}
-        #: event position -> link name for *every* push/pop event (both
-        #: phases).  Entries matter to the runtime-verification deriver:
-        #: a push/pop entry with no matching exit is an actor blocked on
-        #: that link, the raw material of the wait-for deadlock analysis.
-        self.event_links: Dict[int, str] = {}
-        #: event position -> target filter qualname for actor_start /
-        #: actor_sync events, so scheduling counters (starts issued, sync
-        #: targets) are reconstructible from the journal.
-        self.event_targets: Dict[int, str] = {}
         #: event position -> canonical payload text, noted at push exits.
         #: The raw material of the *sharded* determinism contract:
         #: per-link ordered value streams are invariant under scheduling
@@ -182,13 +197,9 @@ class ReplayJournal:
         #: :mod:`repro.sim.snapshot`).  Small next to the event log, so
         #: kept in memory even when the log itself rotates.
         self.state_snapshots: Dict[int, Any] = {}
-        self._snapshot_order: List[int] = []
         self._total = 0
         self._max_seq: Optional[int] = None
         self._cp_by_dispatch: Dict[int, Checkpoint] = {}
-        #: the record the last ``add_event`` stored (None if a cap
-        #: dropped it) — what a replay verifies without a lookup
-        self.last_record: Optional[TraceRecord] = None
 
     # ------------------------------------------------------------ recording
 
@@ -212,61 +223,44 @@ class ReplayJournal:
     def add_event(
         self, time: int, phase: str, symbol: str, actor: Optional[str], seq: Optional[int]
     ) -> int:
-        """Append one framework event without side-table entries; returns
-        its 1-based position."""
+        """Append one framework event with no link or target; returns its
+        1-based position."""
         return self.add_flow(DataflowEvent(time, phase, symbol, actor or "", seq))
 
     def add_flow(self, ev: DataflowEvent) -> int:
-        """Append one framework event's projection, with its link and
-        target side-table entries; returns its 1-based position.  The
-        inverse of :meth:`iter_flow`."""
+        """Append one framework event's projection; returns its 1-based
+        position.  The inverse of :meth:`iter_flow`."""
         self._total += 1
-        index = self._total
         seq = ev.seq
-        if seq is not None and (self._max_seq is None or seq > self._max_seq):
-            self._max_seq = seq
-        self.last_record = self.events.record(ev.time, ev.actor, f"{ev.symbol}:{ev.phase}", seq)
+        if seq is not None:
+            if self._max_seq is None or seq > self._max_seq:
+                self._max_seq = seq
+            if ev.link:
+                # first note wins: the push that minted the seq
+                self.token_links.setdefault(seq, ev.link)
+        self.events.add(ev)
         if self.segments is not None and len(self.events) >= self.window:
             self._rotate()
-        link = ev.link
-        if link:
-            self.event_links[index] = link
-            if seq is not None:
-                # first note wins: the push that minted the seq
-                self.token_links.setdefault(seq, link)
-        target = ev.target
-        if target:
-            self.event_targets[index] = target
-        return index
+        return self._total
 
     def _rotate(self) -> None:
         """Move the oldest half-window of the in-memory log (and its side
         table entries) into a compressed on-disk segment."""
-        n = len(self.events) // 2
         first = self._total - len(self.events) + 1
-        records = self.events.drain_oldest(n)
-        last = first + len(records) - 1
-        links: Dict[int, str] = {}
-        targets: Dict[int, str] = {}
+        records = self.events.drain_oldest(len(self.events) // 2)
         values: Dict[int, str] = {}
-        tokens: Dict[int, str] = {}
-        for pos in range(first, last + 1):
-            link = self.event_links.pop(pos, None)
-            if link is not None:
-                links[pos] = link
-            target = self.event_targets.pop(pos, None)
-            if target is not None:
-                targets[pos] = target
+        for pos in range(first, first + len(records)):
             value = self.event_values.pop(pos, None)
             if value is not None:
                 values[pos] = value
-        for rec in records:
+        tokens: Dict[int, str] = {}
+        for ev in records:
             # a push exit mints its seq: the token->link note travels with it
-            if rec.kind == TOKEN_EVENT_KIND and rec.detail is not None:
-                link = self.token_links.pop(rec.detail, None)
+            if ev.seq is not None and (ev.symbol, ev.phase) == TOKEN_EVENT:
+                link = self.token_links.pop(ev.seq, None)
                 if link is not None:
-                    tokens[rec.detail] = link
-        self.segments.rotate(first, records, links, targets, values, tokens)
+                    tokens[ev.seq] = link
+        self.segments.rotate(first, records, values, tokens)
 
     def note_event_value(self, index: int, value_text: Optional[str]) -> None:
         """Remember the canonical payload text pushed by the event at
@@ -280,8 +274,6 @@ class ReplayJournal:
 
     def add_state_snapshot(self, dispatch: int, state: Any) -> None:
         """Attach a deep MachineState snapshot to a dispatch boundary."""
-        if dispatch not in self.state_snapshots:
-            self._snapshot_order.append(dispatch)
         self.state_snapshots[dispatch] = state
 
     def state_snapshot_at(self, dispatch: int) -> Optional[Any]:
@@ -295,44 +287,23 @@ class ReplayJournal:
 
     # -------------------------------------------------------------- queries
 
-    def record_at(self, index: int) -> Optional[TraceRecord]:
+    def record_at(self, index: int) -> Optional[DataflowEvent]:
         """The stored event at 1-based ``index``; None if out of range or
         evicted by a cap/ring bound.  Falls back to on-disk segments when
         the journal rotates."""
         if not 1 <= index <= self._total:
             return None
         events = self.events
-        stored = len(events)
-        first = self._total - stored + 1  # oldest in-memory position
+        offset = index - 1
         if events.ring or self.segments is not None:
-            if index >= first:
-                return events.at(index - first)
-            if self.segments is not None:
-                seg = self.segments.segment_for(index)
-                if seg is not None:
-                    return self.segments.load(seg).record_at(index)
-            return None
-        if index > stored:
-            return None
-        return events.at(index - 1)
-
-    def link_for_event(self, index: int) -> Optional[str]:
-        """``event_links`` lookup that falls back to segments."""
-        link = self.event_links.get(index)
-        if link is None and self.segments is not None:
+            offset -= self._total - len(events)  # oldest in memory at 0
+        if 0 <= offset < len(events):
+            return events.at(offset)
+        if self.segments is not None:
             seg = self.segments.segment_for(index)
             if seg is not None:
-                return self.segments.load(seg).event_links.get(index)
-        return link
-
-    def target_for_event(self, index: int) -> Optional[str]:
-        """``event_targets`` lookup that falls back to segments."""
-        target = self.event_targets.get(index)
-        if target is None and self.segments is not None:
-            seg = self.segments.segment_for(index)
-            if seg is not None:
-                return self.segments.load(seg).event_targets.get(index)
-        return target
+                return self.segments.load(seg).record_at(index)
+        return None
 
     def value_for_event(self, index: int) -> Optional[str]:
         """``event_values`` lookup that falls back to segments."""
@@ -367,52 +338,33 @@ class ReplayJournal:
                 break
         return best
 
-    def iter_indexed(self, kind: Optional[str] = None) -> Iterator[Tuple[int, TraceRecord]]:
-        """Stream ``(position, record)`` over everything still available —
-        on-disk segments first (one resident at a time), then the
-        in-memory window — without materialising the whole journal."""
-        if self.segments is not None:
-            for pos, rec in self.segments.iter_records():
-                if kind is None or rec.kind == kind:
-                    yield pos, rec
-        base = self._stored_base()
-        for offset, rec in enumerate(self.events):
-            if kind is None or rec.kind == kind:
-                yield base + offset + 1, rec
-
     def iter_flow(self) -> Iterator[Tuple[int, DataflowEvent]]:
         """Stream ``(position, DataflowEvent)`` over everything still
-        available — the one replay-side projection that telemetry, RV and
-        aggregate derivation consume.  Each distinct ``symbol:phase`` kind
-        is split once; link and target come from the side tables."""
-        split: Dict[str, Tuple[str, str]] = {}
-        link_for = self.link_for_event
-        target_for = self.target_for_event
-        for index, rec in self.iter_indexed():
-            kind = rec.kind
-            parts = split.get(kind)
-            if parts is None:
-                symbol, _, phase = kind.rpartition(":")
-                parts = split[kind] = (symbol, phase)
-            yield index, DataflowEvent(
-                rec.time, parts[1], parts[0], rec.process, rec.detail,
-                link_for(index), target_for(index),
-            )
+        available — on-disk segments first (one resident at a time), then
+        the in-memory window — without materialising the whole journal.
+        The one replay-side projection that telemetry, RV and aggregate
+        derivation consume."""
+        if self.segments is not None:
+            yield from self.segments.iter_records()
+        yield from enumerate(self.events, self._stored_base() + 1)
 
-    def token_stream(self, kind: str = TOKEN_EVENT_KIND) -> List[int]:
+    def _iter_tokens(self) -> Iterator[Tuple[int, DataflowEvent]]:
+        """:meth:`iter_flow` restricted to token productions."""
+        symbol, phase = TOKEN_EVENT
+        for index, ev in self.iter_flow():
+            if ev.symbol == symbol and ev.phase == phase:
+                yield index, ev
+
+    def token_stream(self) -> List[int]:
         """Global seq numbers of every recorded token production, in
         order — the run's determinism fingerprint."""
-        if self.segments is None:
-            return [rec.detail for rec in self.events.of_kind(kind) if rec.detail is not None]
-        return [rec.detail for _, rec in self.iter_indexed(kind) if rec.detail is not None]
+        return [ev.seq for _, ev in self._iter_tokens() if ev.seq is not None]
 
-    def link_value_streams(
-        self, kind: str = TOKEN_EVENT_KIND, partial: bool = False
-    ) -> Dict[str, List[str]]:
+    def link_value_streams(self, partial: bool = False) -> Dict[str, List[str]]:
         """Per-link ordered token payload streams (canonical texts).
 
-        Requires the ``event_links`` / ``event_values`` side tables (both
-        populated by :class:`~repro.core.replay.RunRecorder`).  This is
+        Requires each event's link and the ``event_values`` side table
+        (populated by :class:`~repro.core.replay.RunRecorder`).  This is
         the shard-invariant projection of the journal: merging each
         shard's streams reproduces the single-kernel streams exactly.
 
@@ -429,12 +381,11 @@ class ReplayJournal:
                 f"or pass partial=True for the surviving window"
             )
         streams: Dict[str, List[str]] = {}
-        for i, rec in self.iter_indexed(kind):
-            link = self.link_for_event(i)
+        for i, ev in self._iter_tokens():
             value = self.value_for_event(i)
-            if link is None or value is None:
+            if ev.link is None or value is None:
                 continue
-            streams.setdefault(link, []).append(value)
+            streams.setdefault(ev.link, []).append(value)
         return streams
 
     def _stored_base(self) -> int:
@@ -454,16 +405,16 @@ class ReplayJournal:
             return (self._total - len(self.events) + 1, self._total)
         return (1, len(self.events))
 
-    def index_for_seq(self, seq: int, kind: str = TOKEN_EVENT_KIND) -> Optional[int]:
+    def index_for_seq(self, seq: int) -> Optional[int]:
         """Event position at which token ``seq`` was produced, or None if
         that position is not available (see :meth:`seq_status` for the
         evicted / never-recorded distinction)."""
-        for i, rec in self.iter_indexed(kind):
-            if rec.detail == seq:
+        for i, ev in self._iter_tokens():
+            if ev.seq == seq:
                 return i
         return None
 
-    def seq_status(self, seq: int, kind: str = TOKEN_EVENT_KIND) -> Tuple[str, Optional[int]]:
+    def seq_status(self, seq: int) -> Tuple[str, Optional[int]]:
         """Resolve a token seq to ``(status, index)``:
 
         - ``("found", index)`` — the production event is available;
@@ -471,7 +422,7 @@ class ReplayJournal:
           bound discarded it (seq <= the largest seq ever logged and
           events were evicted);
         - ``("unknown", None)`` — no such token was ever recorded."""
-        index = self.index_for_seq(seq, kind)
+        index = self.index_for_seq(seq)
         if index is not None:
             return ("found", index)
         if (
@@ -484,8 +435,8 @@ class ReplayJournal:
 
     def index_for_time(self, time: int) -> Optional[int]:
         """First available event position at simulated time >= ``time``."""
-        for i, rec in self.iter_indexed():
-            if rec.time >= time:
+        for i, ev in self.iter_flow():
+            if ev.time >= time:
                 return i
         return None
 
@@ -512,9 +463,3 @@ class ReplayJournal:
         if index is None:
             return ("unknown", None)
         return ("found", index)
-
-    @staticmethod
-    def describe_record(rec: TraceRecord) -> str:
-        seq = f" seq={rec.detail}" if rec.detail is not None else ""
-        who = f" [{rec.process}]" if rec.process else ""
-        return f"{rec.kind}{who} t={rec.time}{seq}"

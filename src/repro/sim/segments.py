@@ -2,13 +2,21 @@
 
 A :class:`~repro.sim.replay.ReplayJournal` recorded with ``segment_dir``
 keeps only a sliding in-memory window of the event log; once the window
-fills, the oldest half rotates into a **segment** — one zlib-compressed
-pickle holding the rotated records *and* the matching slices of every
-side table (event links/targets/values, token links).  Nothing is lost:
-positions stay 1-based and contiguous, queries fall back to segments
-transparently, and the derivers stream segment by segment so a profile
-or verdict over a multi-million-event run never materialises the whole
-journal in memory.
+fills, the oldest half rotates into a **segment** — one file holding the
+rotated :class:`~repro.sim.replay.DataflowEvent` tuples *and* the
+matching slices of the journal's side tables (event payload values,
+token links).  Nothing is lost: positions stay 1-based and contiguous,
+queries fall back to segments transparently, and the derivers stream
+segment by segment so a profile or verdict over a multi-million-event
+run never materialises the whole journal in memory.
+
+A segment file is a 14-byte header — the magic ``RJSG``, the format
+number (2), the blob length and the blob's CRC32 — followed by the blob:
+zlib-compressed JSON of plain lists (side tables as ``[position, text]``
+pairs, since JSON keys are strings).  Loading never executes anything
+from the file, and :meth:`SegmentStore.load` raises
+:class:`~repro.errors.ReplayError` for a file of an unknown format, a
+checksum mismatch, a truncated file or bytes that do not decode.
 
 Segments are immutable once written and named by their position range
 (``seg-<first>-<last>.bin``), so a directory doubles as a durable,
@@ -20,19 +28,26 @@ decompression per segment.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
+import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .trace import TraceRecord
+from ..errors import ReplayError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .replay import DataflowEvent
 
 #: in-memory event-log window before rotation kicks in
 DEFAULT_SEGMENT_WINDOW = 4096
 
-_FORMAT = 1
+FORMAT = 2
+_MAGIC = b"RJSG"
+#: magic, format number, blob length, CRC32 of the blob
+_HEADER = struct.Struct(">4sHII")
 
 
 @dataclass(frozen=True)
@@ -49,25 +64,48 @@ class SegmentInfo:
         return self.last - self.first + 1
 
 
-class SegmentData:
-    """A decompressed segment: records + side-table slices."""
+class SegmentData(NamedTuple):
+    """A decoded segment: events + side-table slices."""
 
-    __slots__ = ("first", "last", "records", "event_links", "event_targets",
-                 "event_values", "token_links")
+    first: int  # position of records[0]
+    records: List["DataflowEvent"]
+    event_values: Dict[int, str]
+    token_links: Dict[int, str]
 
-    def __init__(self, payload: Dict[str, Any]):
-        self.first: int = payload["first"]
-        self.last: int = payload["last"]
-        self.records: List[TraceRecord] = [
-            TraceRecord(*fields) for fields in payload["records"]
-        ]
-        self.event_links: Dict[int, str] = payload["event_links"]
-        self.event_targets: Dict[int, str] = payload["event_targets"]
-        self.event_values: Dict[int, str] = payload["event_values"]
-        self.token_links: Dict[int, str] = payload["token_links"]
-
-    def record_at(self, index: int) -> TraceRecord:
+    def record_at(self, index: int) -> "DataflowEvent":
         return self.records[index - self.first]
+
+
+def _decode(raw: bytes, path: str) -> SegmentData:
+    """Parse the bytes :meth:`SegmentStore.rotate` writes; ReplayError on
+    any damage."""
+    from .replay import DataflowEvent
+
+    if len(raw) < _HEADER.size:
+        raise ReplayError(f"journal segment {path} is truncated ({len(raw)} byte(s))")
+    magic, fmt, length, crc = _HEADER.unpack_from(raw)
+    if magic != _MAGIC or fmt != FORMAT:
+        raise ReplayError(
+            f"journal segment {path} has unknown format "
+            f"{magic!r}/{fmt} (this build reads format {FORMAT})"
+        )
+    blob = raw[_HEADER.size:]
+    if len(blob) != length:
+        raise ReplayError(
+            f"journal segment {path} is truncated ({len(blob)} of {length} byte(s))"
+        )
+    if zlib.crc32(blob) != crc:
+        raise ReplayError(f"journal segment {path} fails its checksum")
+    try:
+        payload = json.loads(zlib.decompress(blob))
+        return SegmentData(
+            payload["first"],
+            [DataflowEvent._make(fields) for fields in payload["records"]],
+            dict(payload["event_values"]),
+            dict(payload["token_links"]),
+        )
+    except (zlib.error, ValueError, KeyError, TypeError) as exc:
+        raise ReplayError(f"journal segment {path} does not decode: {exc}") from None
 
 
 class SegmentStore:
@@ -85,9 +123,7 @@ class SegmentStore:
     def rotate(
         self,
         first: int,
-        records: List[TraceRecord],
-        event_links: Dict[int, str],
-        event_targets: Dict[int, str],
+        records: List["DataflowEvent"],
         event_values: Dict[int, str],
         token_links: Dict[int, str],
     ) -> SegmentInfo:
@@ -98,20 +134,17 @@ class SegmentStore:
             raise ValueError("refusing to write an empty segment")
         last = first + len(records) - 1
         payload = {
-            "format": _FORMAT,
             "first": first,
-            "last": last,
-            "records": [(r.time, r.process, r.kind, r.detail) for r in records],
-            "event_links": event_links,
-            "event_targets": event_targets,
-            "event_values": event_values,
-            "token_links": token_links,
+            "records": records,  # tuples serialise as JSON lists
+            "event_values": list(event_values.items()),
+            "token_links": list(token_links.items()),
         }
-        blob = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        blob = zlib.compress(json.dumps(payload, separators=(",", ":")).encode())
+        raw = _HEADER.pack(_MAGIC, FORMAT, len(blob), zlib.crc32(blob)) + blob
         path = os.path.join(self.directory, f"seg-{first:012d}-{last:012d}.bin")
         with open(path, "wb") as fh:
-            fh.write(blob)
-        info = SegmentInfo(first=first, last=last, path=path, compressed_bytes=len(blob))
+            fh.write(raw)
+        info = SegmentInfo(first=first, last=last, path=path, compressed_bytes=len(raw))
         self.segments.append(info)
         return info
 
@@ -147,20 +180,17 @@ class SegmentStore:
             self._cache.move_to_end(seg.path)
             return cached
         with open(seg.path, "rb") as fh:
-            payload = pickle.loads(zlib.decompress(fh.read()))
-        data = SegmentData(payload)
+            data = _decode(fh.read(), seg.path)
         self._cache[seg.path] = data
         while len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
         return data
 
-    def iter_records(self) -> Iterator[Tuple[int, TraceRecord]]:
-        """Stream ``(position, record)`` over every segment, oldest first,
+    def iter_records(self) -> Iterator[Tuple[int, "DataflowEvent"]]:
+        """Stream ``(position, event)`` over every segment, oldest first,
         one decompressed segment resident at a time."""
         for seg in self.segments:
-            data = self.load(seg)
-            for offset, rec in enumerate(data.records):
-                yield seg.first + offset, rec
+            yield from enumerate(self.load(seg).records, seg.first)
 
     def describe(self) -> str:
         if not self.segments:

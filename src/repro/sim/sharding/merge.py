@@ -24,25 +24,10 @@ gate on exactly that.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping
 
 from ...errors import SimulationError
-
-
-def stable_value_text(raw: Any) -> str:
-    """Canonical text of a token payload (Filter-C ``Raw``): ints, bools,
-    lists and dicts only, with dict keys emitted in sorted order so the
-    text is independent of insertion order."""
-    if isinstance(raw, bool):
-        return "true" if raw else "false"
-    if isinstance(raw, int):
-        return str(raw)
-    if isinstance(raw, list):
-        return "[" + ",".join(stable_value_text(x) for x in raw) + "]"
-    if isinstance(raw, dict):
-        inner = ",".join(f"{k}={stable_value_text(raw[k])}" for k in sorted(raw))
-        return "{" + inner + "}"
-    return repr(raw)
+from ..replay import stable_value_text
 
 
 class PushStreamRecorder:

@@ -21,17 +21,12 @@ from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional
 
 
 class TraceRecord(NamedTuple):
-    """One stored record (a tuple: cheap to build on the journal's hot path)."""
+    """One stored kernel trace record."""
 
     time: int
     process: str
     kind: str
     detail: Any = None
-
-
-#: builds a record without the generated ``__new__``'s Python frame
-#: (same tuple as ``TraceRecord(...)``; the journal makes one per event)
-_new_record = tuple.__new__
 
 
 class TraceSnapshot(NamedTuple):
@@ -84,11 +79,7 @@ class TraceRecorder:
         way to read a recorder's full state without poking internals."""
         return TraceSnapshot(list(self._records), dict(self.kind_counts), self.dropped)
 
-    def record(
-        self, time: int, process: str, kind: str, detail: Any = None
-    ) -> Optional[TraceRecord]:
-        """Count one event and store it; returns the stored record, or
-        None when the cap dropped it."""
+    def record(self, time: int, process: str, kind: str, detail: Any = None) -> None:
         counts = self.kind_counts
         counts[kind] = counts.get(kind, 0) + 1
         limit = self.limit
@@ -96,36 +87,21 @@ class TraceRecorder:
             if not self.ring:
                 # capped mode: drop the newest without building the record
                 self.dropped += 1
-                return None
+                return
             if limit <= 0:
                 self.dropped += 1
-                return None
+                return
             evicted = self._records.popleft()
             self._by_kind[evicted.kind].popleft()
             self.dropped += 1
         if callable(detail):
             detail = detail()
-        rec = _new_record(TraceRecord, (time, process, kind, detail))
+        rec = TraceRecord(time, process, kind, detail)
         self._records.append(rec)
         bucket = self._by_kind.get(kind)
         if bucket is None:
             bucket = self._by_kind[kind] = deque()
         bucket.append(rec)
-        return rec
-
-    def drain_oldest(self, n: int) -> List[TraceRecord]:
-        """Remove and return the ``n`` oldest stored records (in order).
-
-        Unlike ring eviction this is *rotation*, not loss: the caller is
-        expected to persist the drained records elsewhere (see
-        :class:`~repro.sim.segments.SegmentStore`), so ``dropped`` is not
-        incremented and ``kind_counts`` keeps its lifetime totals."""
-        out: List[TraceRecord] = []
-        for _ in range(min(n, len(self._records))):
-            rec = self._records.popleft()
-            self._by_kind[rec.kind].popleft()
-            out.append(rec)
-        return out
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """Stored records of one kind — O(matches), not O(all records)."""

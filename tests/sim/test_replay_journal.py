@@ -1,7 +1,7 @@
 """Unit tests of the replay journal substrate (event log, checkpoints,
 position queries) independent of the debugger driver."""
 
-from repro.sim.replay import TOKEN_EVENT_KIND, Checkpoint, ReplayJournal
+from repro.sim.replay import TOKEN_EVENT, Checkpoint, ReplayJournal
 
 
 def fill(journal, n=10, t0=0):
@@ -22,9 +22,9 @@ def test_positions_are_one_based_and_counted():
     assert j.add_event(0, "exit", "pedf_rt_push", "a", 1) == 1
     assert j.add_event(5, "entry", "pedf_rt_step", "c", None) == 2
     assert j.total_events == 2
-    assert j.record_at(1).detail == 1
-    assert j.record_at(1).kind == TOKEN_EVENT_KIND
-    assert j.record_at(2).detail is None
+    assert j.record_at(1).seq == 1
+    assert (j.record_at(1).symbol, j.record_at(1).phase) == TOKEN_EVENT
+    assert j.record_at(2).seq is None
     assert j.record_at(0) is None and j.record_at(3) is None
 
 

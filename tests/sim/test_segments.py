@@ -9,12 +9,14 @@ time_status and link_value_streams refuses to pretend a partial stream
 is complete.
 """
 
+import zlib
+
 import pytest
 
 from repro.errors import ReplayError
 from repro.sim.replay import DataflowEvent, ReplayJournal
 from repro.sim.segments import SegmentStore
-from repro.sim.trace import TraceRecorder
+from repro.sim.store import BoundedStore
 
 
 def fill(journal, n, start_seq=1):
@@ -31,20 +33,19 @@ def fill(journal, n, start_seq=1):
         )
 
 
-# ----------------------------------------------------------- TraceRecorder
+# ------------------------------------------------------------ BoundedStore
 
 
-def test_drain_oldest_keeps_by_kind_consistent():
-    rec = TraceRecorder()
+def test_drain_oldest_is_rotation_not_loss():
+    store = BoundedStore()
     for i in range(10):
-        rec.record(i, "p", "a" if i % 2 else "b", i)
-    drained = rec.drain_oldest(4)
-    assert [r.detail for r in drained] == [0, 1, 2, 3]
-    assert len(rec) == 6
-    assert rec.dropped == 0  # rotation is not loss
-    assert [r.detail for r in rec.of_kind("a")] == [5, 7, 9]
-    assert [r.detail for r in rec.of_kind("b")] == [4, 6, 8]
-    assert rec.drain_oldest(100) and len(rec) == 0
+        store.add(DataflowEvent(i, "exit", "a" if i % 2 else "b", "p", i))
+    drained = store.drain_oldest(4)
+    assert [r.seq for r in drained] == [0, 1, 2, 3]
+    assert len(store) == 6
+    assert store.dropped == 0  # rotation is not loss
+    assert [r.seq for r in store] == [4, 5, 6, 7, 8, 9]
+    assert store.drain_oldest(100) and len(store) == 0
 
 
 # ------------------------------------------------------------- SegmentStore
@@ -52,25 +53,22 @@ def test_drain_oldest_keeps_by_kind_consistent():
 
 def test_segment_store_round_trip_and_lookup(tmp_path):
     store = SegmentStore(str(tmp_path))
-    src = TraceRecorder()
-    for i in range(20):
-        src.record(i, "p", "k", i)
-    recs = src.records
-    store.rotate(1, recs[:10], {1: "l"}, {2: "t"}, {3: "v"}, {7: "tok"})
-    store.rotate(11, recs[10:], {}, {}, {}, {})
+    recs = [DataflowEvent(i, "exit", "k", "p", i, "l", None) for i in range(20)]
+    store.rotate(1, recs[:10], {3: "v"}, {7: "tok"})
+    store.rotate(11, recs[10:], {}, {})
     assert store.total_stored == 20
     assert store.segment_for(1).first == 1
     assert store.segment_for(10).last == 10
     assert store.segment_for(11).first == 11
     assert store.segment_for(21) is None and store.segment_for(0) is None
     data = store.load(store.segment_for(5))
-    assert data.record_at(5).detail == 4
-    assert data.event_links == {1: "l"} and data.token_links == {7: "tok"}
+    assert data.record_at(5).seq == 4
+    assert data.event_values == {3: "v"} and data.token_links == {7: "tok"}
     assert [d for _, d in store.iter_records()] == recs
     assert [i for i, _ in store.iter_records()] == list(range(1, 21))
     assert "2 segment(s)" in store.describe()
     with pytest.raises(ValueError):
-        store.rotate(21, [], {}, {}, {}, {})
+        store.rotate(21, [], {}, {})
 
 
 # ------------------------------------------------- rotation transparency
@@ -91,18 +89,18 @@ def test_segmented_journal_equals_unbounded(tmp_path):
     # every record reachable at its position, memory or disk
     for idx in (1, 2, 33, 199, 400):
         assert seg.record_at(idx) == plain.record_at(idx)
-    # side-table accessors fall back to segments
+    # links, targets and the value side table fall back to segments
     for idx in range(1, 401):
-        assert seg.link_for_event(idx) == plain.event_links.get(idx)
+        assert seg.record_at(idx).link == plain.record_at(idx).link
         assert seg.value_for_event(idx) == plain.event_values.get(idx)
-        assert seg.target_for_event(idx) == plain.event_targets.get(idx)
+        assert seg.record_at(idx).target == plain.record_at(idx).target
     # token_links rotated with the minting push event
     assert seg.token_link(1) == "link0"
     assert seg.token_link(200) == plain.token_links[200]
     assert seg.token_link(9999) is None
 
     # streamed views are byte-identical to the unbounded journal
-    assert list(seg.iter_indexed()) == [
+    assert list(seg.iter_flow()) == [
         (i + 1, r) for i, r in enumerate(plain.events.records)
     ]
     assert seg.token_stream() == plain.token_stream()
@@ -126,7 +124,7 @@ def test_ring_journal_distinguishes_evicted_from_unknown():
     fill(j, 50)  # 100 events total, only last 10 stored
     # seq 50 is in the stored window
     status, index = j.seq_status(50)
-    assert status == "found" and j.record_at(index).detail == 50
+    assert status == "found" and j.record_at(index).seq == 50
     # seq 3 was recorded then evicted — must NOT claim it never existed
     assert j.seq_status(3) == ("evicted", None)
     # seq 999 was never recorded
@@ -163,3 +161,70 @@ def test_link_value_streams_refuses_partial_unless_asked():
     unbounded = ReplayJournal()
     fill(unbounded, 50)
     assert unbounded.link_value_streams()  # complete journal: no error
+
+
+# ------------------------------------------------ segment format 2 damage
+
+
+def written_segment(tmp_path):
+    store = SegmentStore(str(tmp_path))
+    recs = [DataflowEvent(i, "exit", "pedf_rt_push", "p", i, "l") for i in range(8)]
+    return store.rotate(1, recs, {1: "7"}, {0: "l"})
+
+
+def load_fresh(tmp_path, info):
+    return SegmentStore(str(tmp_path)).load(info)  # no cached copy
+
+
+def rewrite(info, raw):
+    with open(info.path, "wb") as fh:
+        fh.write(raw)
+
+
+def read(info):
+    with open(info.path, "rb") as fh:
+        return fh.read()
+
+
+def test_segment_round_trips_side_tables_as_int_keys(tmp_path):
+    info = written_segment(tmp_path)
+    data = load_fresh(tmp_path, info)
+    assert data.event_values == {1: "7"} and data.token_links == {0: "l"}
+    assert data.record_at(8) == DataflowEvent(7, "exit", "pedf_rt_push", "p", 7, "l")
+
+
+def test_segment_of_unknown_format_is_refused(tmp_path):
+    info = written_segment(tmp_path)
+    raw = bytearray(read(info))
+    raw[4:6] = (99).to_bytes(2, "big")  # the format number
+    rewrite(info, bytes(raw))
+    with pytest.raises(ReplayError, match="has unknown format"):
+        load_fresh(tmp_path, info)
+
+
+def test_segment_checksum_mismatch_is_refused(tmp_path):
+    info = written_segment(tmp_path)
+    raw = bytearray(read(info))
+    raw[-1] ^= 0xFF
+    rewrite(info, bytes(raw))
+    with pytest.raises(ReplayError, match="fails its checksum"):
+        load_fresh(tmp_path, info)
+
+
+@pytest.mark.parametrize("keep", [0, 6, -3])
+def test_truncated_segment_is_refused(tmp_path, keep):
+    info = written_segment(tmp_path)
+    raw = read(info)
+    rewrite(info, raw[:keep] if keep >= 0 else raw[:len(raw) + keep])
+    with pytest.raises(ReplayError, match=r"is truncated \("):
+        load_fresh(tmp_path, info)
+
+
+def test_undecodable_segment_is_refused(tmp_path):
+    info = written_segment(tmp_path)
+    blob = b"not zlib at all"
+    header = read(info)[:6]  # magic + format stay valid
+    rewrite(info, header + len(blob).to_bytes(4, "big")
+            + zlib.crc32(blob).to_bytes(4, "big") + blob)
+    with pytest.raises(ReplayError, match="does not decode:"):
+        load_fresh(tmp_path, info)
