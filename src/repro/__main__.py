@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import build_debug_session
+from .cminus.interp import VALID_TIERS
 from .errors import ReproError
 
 
@@ -99,12 +100,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--source-values", default="",
                         help="comma-separated integers fed to the first module input")
     parser.add_argument("--script", help="run commands from this file instead of a REPL")
-    parser.add_argument("--interp-tier", choices=["auto", "vm", "slow"], default="auto",
-                        help="Filter-C execution tier: 'auto' runs compiled closures "
-                             "with debugger-triggered deoptimization, 'vm' runs the "
-                             "register-machine bytecode tier (fastest; supports disas/"
-                             "stepi/ISA breakpoints), 'slow' forces the per-statement "
-                             "resumable interpreter")
+    parser.add_argument("--interp-tier", choices=list(VALID_TIERS), default="auto",
+                        help="Filter-C execution tier: 'auto' runs the register-machine "
+                             "bytecode tier (supports disas/stepi/ISA breakpoints) and "
+                             "descends to the tree interpreter when statement hooks "
+                             "arm, 'slow' forces the per-statement resumable interpreter")
     parser.add_argument("--trace-out", metavar="FILE",
                         help="enable telemetry from the start and write a "
                              "Perfetto-loadable Chrome trace-event JSON on exit")

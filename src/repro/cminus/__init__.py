@@ -61,7 +61,6 @@ from .interp import (
     run_sync,
 )
 from .debuginfo import DebugInfo, FunctionSymbol, LineTable, VariableSymbol
-from .compile import CompiledUnit, compiled_unit
 from .frontend import FrontendCache, frontend_cache
 
 __all__ = [
@@ -112,8 +111,6 @@ __all__ = [
     "FunctionSymbol",
     "LineTable",
     "VariableSymbol",
-    "CompiledUnit",
-    "compiled_unit",
     "FrontendCache",
     "frontend_cache",
 ]

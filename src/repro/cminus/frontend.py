@@ -14,8 +14,11 @@ analysed program:
   runtime error messages);
 - the full :class:`~repro.cminus.sema.ActorContext` signature: kind,
   interface directions/types, data/attribute types, shared struct
-  layouts, controller actor names and extra intrinsics;
-- the execution tier (a Program accretes that tier's compiled unit).
+  layouts, controller actor names and extra intrinsics.
+
+The execution tier is *not* part of the key: the only tier unit, the
+bytecode :class:`~repro.cminus.vm.compiler.VmUnit`, is built lazily and
+memoized on the Program, so runs on either tier share one Program.
 
 Per-instance symbol names are *not* part of the key.  Programs are
 analysed under their source's own function names; PEDF and CCM mangling
@@ -24,9 +27,9 @@ where a name leaves the interpreter (frames, debug info, messages).  So
 every actor compiled from the same key — the 900 identical filters of
 the synthetic graph, or one instance rebuilt for replay — shares one
 :class:`FrontendResult`: the analysed :class:`~repro.cminus.ast.Program`,
-its canonical :class:`~repro.cminus.debuginfo.DebugInfo`, the tier units
-memoized on the Program (closure ``CompiledUnit``, ``VmUnit``) and the
-re-keyed debug-info views of each symbol map.  All of it is immutable
+its canonical :class:`~repro.cminus.debuginfo.DebugInfo`, the ``VmUnit``
+memoized on the Program and the re-keyed debug-info views of each symbol
+map.  All of it is immutable
 after sema (interpreters copy global values at init and never mutate
 the AST), and :meth:`FrontendCache.clear` drops every piece of it.
 """
@@ -149,12 +152,10 @@ class FrontendResult:
         return view
 
 
-def _context_salt(ctx: ActorContext, tier: str = "auto") -> List[str]:
+def _context_salt(ctx: ActorContext) -> List[str]:
     """Everything beyond the source text that can change the front end's
-    output: the full compilation context, and the execution tier (cached
-    Program objects carry tier-specific unit caches, so runs on different
-    tiers must not share them)."""
-    salt = [ctx.kind, f"tier:{tier}"]
+    output: the full compilation context."""
+    salt = [ctx.kind]
     salt.extend(
         f"iface:{s.name}:{s.direction}:{type_signature(s.ctype)}"
         for s in sorted(ctx.ifaces.values(), key=lambda s: s.name)
@@ -173,12 +174,10 @@ def _context_salt(ctx: ActorContext, tier: str = "auto") -> List[str]:
     return salt
 
 
-def compile_unit(
-    source: str, filename: str, ctx: ActorContext, tier: str = "auto"
-) -> FrontendResult:
+def compile_unit(source: str, filename: str, ctx: ActorContext) -> FrontendResult:
     """Parse and analyse ``source`` under ``ctx`` — once per distinct
     key; every later call with the same key returns the same result."""
-    key = frontend_cache.digest(source, filename, *_context_salt(ctx, tier))
+    key = frontend_cache.digest(source, filename, *_context_salt(ctx))
     entry = frontend_cache.get(key)
     if entry is None:
         program = parse_program(source, filename, ctx.structs)

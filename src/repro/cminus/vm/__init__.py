@@ -6,7 +6,7 @@ Layout:
 - :mod:`~repro.cminus.vm.compiler` — AST → :class:`VmFunction` lowering
   (register allocation, constant pool, boundary/line/scope-shape tables);
 - :mod:`~repro.cminus.vm.emulator` — the dispatch-loop generator that
-  runs as the third interpreter tier (``tier == "vm"``);
+  runs as the fast interpreter tier (``tier == "auto"``);
 - :mod:`~repro.cminus.vm.asm` — textual assembler/disassembler.
 """
 

@@ -14,19 +14,19 @@ into), resume/break/continue pcs, and pre/post scope-shape indices — the
 tables :mod:`~repro.cminus.vm.emulator` uses to materialize interpreter
 frames from register state and to refill registers afterwards.
 
-Compilation is failure-tolerant at the unit level, exactly like the
-closure tier: a function the compiler cannot lower is absent from the
-unit and the tier-descent chain (vm → closure → tree) covers it.
+Compilation is failure-tolerant at the unit level: a function the
+compiler cannot lower is absent from the unit and runs on the tree
+interpreter (tier descent vm → tree).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ...errors import CMinusRuntimeError
 from .. import ast
-from ..compile import _make_coercer
 from ..typesys import BoolType, IntType, S32, StructType, VoidType
-from ..values import default_value
+from ..values import coerce, default_value
 from . import isa
 
 
@@ -53,6 +53,32 @@ def _wrap_params(ct) -> Tuple[int, int, int]:
     mask = (1 << ct.bits) - 1
     mx = (1 << (ct.bits - 1)) - 1 if ct.signed else mask
     return mask, mx, 1 << ct.bits
+
+
+def _make_coercer(ctype) -> Callable:
+    """Pre-selected store conversion: what ``values.coerce`` would do for
+    this statically-known slot type, without re-dispatching on it."""
+    if isinstance(ctype, BoolType):
+        return bool
+    if isinstance(ctype, IntType):
+        mask = (1 << ctype.bits) - 1
+        span = mask + 1
+        mx = ctype.max
+        if ctype.signed:
+            def conv(v):
+                try:
+                    v = int(v) & mask
+                except TypeError:
+                    raise CMinusRuntimeError(f"cannot convert aggregate to {ctype}")
+                return v - span if v > mx else v
+        else:
+            def conv(v):
+                try:
+                    return int(v) & mask
+                except TypeError:
+                    raise CMinusRuntimeError(f"cannot convert aggregate to {ctype}")
+        return conv
+    return lambda v: coerce(v, ctype)
 
 
 class VmFunction:
@@ -781,9 +807,9 @@ class _FnCompiler:
 
 
 class VmUnit:
-    """All VM-compiled functions of one Program; failure-tolerant like
-    :class:`~repro.cminus.compile.CompiledUnit` (an unlowerable function
-    is simply absent and the tier-descent chain covers it)."""
+    """All VM-compiled functions of one Program.  Failure-tolerant: an
+    unlowerable function is simply absent (``supports`` → False) and
+    keeps running on the tree interpreter."""
 
     def __init__(self, program: ast.Program):
         self.program = program

@@ -1,15 +1,16 @@
 """The PE ISA emulator: a dispatch-loop generator over compiled bytecode.
 
-This is the third interpreter tier.  The contracts of the closure tier
-carry over unchanged:
+This is the fast interpreter tier (``tier == "auto"``); the resumable
+tree interpreter in :mod:`~repro.cminus.interp` is the reference it
+must match and the tier it descends into.
 
 - **Boundary protocol** — every ``stmt`` instruction performs, in order:
   batched-Delay flush check, tier-descent check (``interp._fast_ok``),
   then line-table update / statement count / cost charge.  Flushes happen
-  at the same structural points as both other tiers (boundary threshold,
+  at the same structural points as the tree tier (boundary threshold,
   before dataflow I/O and intrinsics, function exit via ``run_function``)
   so kernel request streams, dispatch counts and replay journal
-  fingerprints are byte-identical across all three tiers.
+  fingerprints are byte-identical across both tiers.
 
 - **Tier descent** — when a statement/call/return capability is armed
   mid-function (``_fast_ok`` drops), the next boundary materializes real
@@ -17,14 +18,14 @@ carry over unchanged:
   state via the boundary's scope-shape table, delegates the statement (or
   the rest of the loop, for loop-header boundaries) to the tree
   interpreter, then refills the registers from the mutated slots and
-  resumes at the boundary's resume pc.  Callee activations descend
-  vm → closure → tree through the same chain.
+  resumes at the boundary's resume pc.  A callee activation descends
+  vm → tree in one step when hooks are armed or the callee did not lower.
 
 - **Instruction tracing** — arming ``CAP_ISA`` (ISA breakpoints,
   register watchpoints, ``stepi``) or ``CAP_TELEMETRY`` (per-opcode
   cycle attribution) flips the loop into an instrumented prelude without
   deoptimizing: per-instruction hooks are elided behind one local bool
-  when disarmed, the ISA-level analogue of the PR-1 capability bitmask.
+  when disarmed, the ISA-level analogue of the hook-capability bitmask.
 """
 
 from __future__ import annotations
@@ -161,22 +162,8 @@ def _deopt_boundary(interp, act: Activation, ins):
 
 
 def _call_fallback(interp, name: str, args: List, call_line: int):
-    """Callee tier descent for OP_CALL: closure tier if it supports the
-    function and hooks allow, else the tree interpreter — the same choice
-    the closure tier's own call site makes."""
-    cu = interp._compiled
-    if cu is None and not interp._compile_failed:
-        try:
-            from ..compile import compiled_unit
-
-            cu = interp._compiled = compiled_unit(interp.program)
-        except Exception:
-            interp._compile_failed = True
-    cf = cu._funcs.get(name) if cu is not None else None
-    if cf is not None and interp._fast_ok:
-        from ..compile import _call
-
-        return (yield from _call(interp, cf, args, call_line))
+    """Callee tier descent for OP_CALL: the tree interpreter runs the
+    callee when hooks are armed or the callee did not lower."""
     func = interp.program.function(name)
     if func is None:
         raise CMinusRuntimeError(f"call to undefined function {name!r}")
@@ -419,7 +406,7 @@ def _run(interp, act: Activation):
             slot.data = coerce(regs[ins[2]], slot.ctype)
             pc += 1
             continue
-        if op == 52:  # CALL — descend vm → closure → tree per callee
+        if op == 52:  # CALL — descend vm → tree per callee
             args = [regs[r] for r in ins[3]]
             vfs = interp._vm_funcs
             callee = vfs.get(ins[2]) if vfs is not None else None

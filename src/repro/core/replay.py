@@ -126,6 +126,7 @@ class RunRecorder:
         journal = self.journal
         ref = self.reference
         expected = None
+        shared = None  # the reference whose event this one was verified as
         if ref is not None and self.divergence is None:
             position = journal.total_events + 1
             if position <= ref.total_events:
@@ -137,10 +138,16 @@ class RunRecorder:
                     # journals share the master's events instead of copying
                     ev = expected
                     expected = None
+                    shared = ref
                     self.events_compared += 1
         index = journal.add_flow(ev)
         if ev.symbol == SYM_PUSH and ev.phase == "exit" and event.retval is not None:
-            journal.note_event_value(index, stable_value_text(event.retval.value))
+            # a verified push shares the reference's payload text too; it
+            # is rendered only when the reference no longer holds it
+            text = shared.event_values.get(index) if shared is not None else None
+            if text is None:
+                text = stable_value_text(event.retval.value)
+            journal.note_event_value(index, text)
         if expected is not None:
             self.divergence = (
                 f"replay diverged at event #{index}: recorded "
@@ -777,7 +784,7 @@ class ReplayManager:
                 f"  last hop: to event #{target}, {how}, "
                 f"{tail} event(s) re-executed"
             )
-        lines.append(f"  tokens recorded: {len(master.token_stream())}")
+        lines.append(f"  tokens recorded: {master.tokens_recorded}")
         if self.position is not None:
             lines.append(f"  position: event #{self.position} of {master.total_events}")
             cp = master.nearest_checkpoint(self.position)

@@ -44,7 +44,7 @@ from .api import ExtensionAPI
 #: debugger-side code has a single import path for the whole mask
 #: vocabulary.  CAP_ALL covers only the tier-selection/observation bits;
 #: CAP_TELEMETRY and CAP_RV ride the same mask but stay outside it so
-#: arming them never deoptimizes the compiled Filter-C tier.
+#: arming them never deoptimizes the Filter-C bytecode tier.
 CAP_STATEMENTS = DebugHook.CAP_STATEMENTS
 CAP_CALLS = DebugHook.CAP_CALLS
 CAP_RETURNS = DebugHook.CAP_RETURNS

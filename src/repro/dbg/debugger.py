@@ -107,7 +107,7 @@ class Debugger:
         self.telemetry_armed = False
         #: armed by the runtime-verification facade: adds CAP_RV to the
         #: hook mask (monitors ride the framework event bus; the bit never
-        #: deoptimizes the compiled tier)
+        #: deoptimizes the bytecode tier)
         self.rv_armed = False
         #: armed by the profiler facade: adds CAP_PROFILE to the hook mask
         #: so interpreters attribute flushed cycles through
@@ -145,11 +145,11 @@ class Debugger:
             caps |= DebugHook.CAP_DATA
         if self.telemetry_armed:
             # telemetry rides the same mask but NOT the tier-selection bits:
-            # the compiled fast tier stays compiled, it just counts cycles
+            # the bytecode tier stays resident, it just counts cycles
             caps |= DebugHook.CAP_TELEMETRY
         if self.rv_armed:
             # likewise outside CAP_ALL: property monitors consume framework
-            # events, so arming them must not drop the compiled tier
+            # events, so arming them must not drop the bytecode tier
             caps |= DebugHook.CAP_RV
         if self.profiler_armed:
             # attributed profiling: outside CAP_ALL, implies cycle counting

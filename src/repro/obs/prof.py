@@ -4,15 +4,15 @@ The interpreter already batches statement costs and flushes them to the
 kernel as ``Delay`` requests; while ``CAP_PROFILE`` is armed each flush
 is *attributed* — the flush site calls ``hook.profile_sink(interp, p)``
 and the profiler charges ``p`` cycles to the interpreter's live call
-stack (all three tiers maintain real :class:`Frame` objects) under the
-tier that executed it ("tree", "compiled" or "vm").  The bit rides the
-hook-capability bitmask outside ``CAP_ALL``, so arming it never
-deoptimizes: the compiled and bytecode tiers keep running at full speed
-and the only new work is one ``None`` test per cost flush (one per
-~``batch_cycles`` statements) — the same §V elision contract telemetry
-uses.  On the bytecode tier the VM's instrumented prelude additionally
-attributes per-opcode ISA cycle costs, which the profile report folds
-in via :mod:`repro.cminus.vm.telemetry`.
+stack (both tiers maintain real :class:`Frame` objects) under the tier
+that executed it ("vm" or "tree").  The bit rides the hook-capability
+bitmask outside ``CAP_ALL``, so arming it never deoptimizes: the
+bytecode tier keeps running at full speed and the only new work is one
+``None`` test per cost flush (one per ~``batch_cycles`` statements) —
+the same §V elision contract telemetry uses.  On the bytecode tier the
+VM's instrumented prelude additionally attributes per-opcode ISA cycle
+costs, which the profile report folds in via
+:mod:`repro.cminus.vm.telemetry`.
 
 Because flush points are structural (batch threshold / pre-I/O / exit)
 and cost models are deterministic, a profile is a pure function of the
@@ -179,12 +179,7 @@ class Profiler:
         if frames:
             top = frames[-1]
             path = tuple(f.func.name for f in frames)
-            if getattr(top, "vm", None) is not None:
-                tier = "vm"
-            elif interp._fast_ok and interp.tier != "slow":
-                tier = "compiled"
-            else:
-                tier = "tree"
+            tier = "vm" if getattr(top, "vm", None) is not None else "tree"
             self._last[key_id] = (path, tier)
         else:
             # the final flush of run_function happens after the entry

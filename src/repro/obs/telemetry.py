@@ -8,7 +8,7 @@ Arming does two things, both reversible:
   framework calls event-free);
 - raises ``CAP_TELEMETRY`` in the debugger's hook-capability mask so
   interpreters count the cycles they flush.  The bit is ignored by tier
-  selection, so the compiled fast tier keeps running compiled — the
+  selection, so the bytecode tier keeps running bytecode — the
   only new work on the hot path is one predicted branch per cost flush
   (one per ~batch_cycles statements).
 

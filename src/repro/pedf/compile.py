@@ -8,7 +8,7 @@ dataflow debugger demonstrably adds value over raw symbol names.
 
 Mangling is a per-actor symbol map (canonical → mangled), not a rewrite
 of the program: actors whose source and compilation context are equal
-share one analysed program and its tier units
+share one analysed program and its bytecode unit
 (:func:`repro.cminus.frontend.compile_unit`), and each instance sees its
 own names through its map — in its debug info, frames, breakpoints and
 messages.
@@ -44,19 +44,15 @@ def mangle_controller_prefix(module_name: str) -> str:
     return f"_component_{_camel(module_name)}Module_anon_0_"
 
 
-def compile_actor(
-    decl: ActorDeclBase, module: ModuleDecl, structs=None, tier: str = "auto"
-) -> None:
+def compile_actor(decl: ActorDeclBase, module: ModuleDecl, structs=None) -> None:
     """Compile one actor's Filter-C source and build its symbol map.
 
     Fills ``decl.cprogram`` (shared with every actor compiled from the
     same source and context), ``decl.symbols`` (canonical → mangled),
     ``decl.debug_info`` (the shared debug info under the mangled names)
     and ``decl.work_symbol``.  ``structs`` are shared application-level
-    struct types.  ``tier`` is the execution tier the program is destined
-    for — part of the cache key, since the returned Program object
-    accretes tier-specific compilation caches (closure / bytecode units).
-    Idempotent: recompiling an already-compiled declaration is a no-op.
+    struct types.  Idempotent: recompiling an already-compiled
+    declaration is a no-op.
     """
     if decl.cprogram is not None:
         return
@@ -70,7 +66,7 @@ def compile_actor(
         work_symbol = mangle_filter_symbol(decl.name)
         prefix = mangle_filter_prefix(decl.name)
 
-    unit = compile_unit(decl.source, filename, _actor_context(decl, module, structs), tier)
+    unit = compile_unit(decl.source, filename, _actor_context(decl, module, structs))
     program = unit.program
     if program.function("work") is None:
         raise PedfError(f"actor {module.name}.{decl.name}: source defines no work() method")
@@ -97,13 +93,13 @@ def _actor_context(decl: ActorDeclBase, module: ModuleDecl, structs=None) -> Act
     return ctx
 
 
-def compile_program(program: "ProgramDecl", tier: str = "auto") -> None:
-    """Compile every actor in a program declaration for ``tier``."""
+def compile_program(program: "ProgramDecl") -> None:
+    """Compile every actor in a program declaration."""
     from .decls import ProgramDecl  # local import to avoid a cycle at import time
 
     assert isinstance(program, ProgramDecl)
     for module in program.modules.values():
         if module.controller is not None:
-            compile_actor(module.controller, module, program.structs, tier)
+            compile_actor(module.controller, module, program.structs)
         for filt in module.filters.values():
-            compile_actor(filt, module, program.structs, tier)
+            compile_actor(filt, module, program.structs)

@@ -45,10 +45,9 @@ class RuntimeConfig:
     control_capacity: int = 8
     #: overrides every controller's own max_steps when set (safety bound)
     max_steps: Optional[int] = None
-    #: Filter-C execution tier: "auto" runs the compiled closure tier
-    #: whenever the hook-capability mask allows (deoptimizing on demand),
-    #: "vm" runs the register-machine bytecode tier (descending through
-    #: closure to tree when hooks arm), "slow" forces the per-statement
+    #: Filter-C execution tier: "auto" runs the register-machine bytecode
+    #: tier whenever the hook-capability mask allows (descending to the
+    #: tree interpreter when hooks arm), "slow" forces the per-statement
     #: resumable interpreter everywhere
     interp_tier: str = "auto"
 
@@ -82,7 +81,7 @@ class PedfRuntime:
         #: plan cuts become proxy links wired to cross-shard channels
         self.shard = shard
 
-        compile_program(program, self.config.interp_tier)
+        compile_program(program)
         program.validate()
 
         self.modules: Dict[str, ModuleInst] = {}
@@ -130,9 +129,9 @@ class PedfRuntime:
         ``(name, canonical text)`` — so two runs that agree at the same
         dispatch boundary produce *equal* captures regardless of payload
         object identity.  ``include_frames`` additionally captures each
-        busy actor's interpreter frames; that part is tier-variant (the
-        compiled tier keeps no frames) and must stay out of anything
-        compared across interpreter tiers.
+        busy actor's interpreter frames; that part is tier-variant (see
+        :meth:`~repro.cminus.interp.Interpreter.capture_frames`) and must
+        stay out of anything compared across interpreter tiers.
         """
         links = tuple(
             (link.name, tuple((t.seq, stable_value_text(t.value)) for t in link.tokens()))

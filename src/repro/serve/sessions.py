@@ -24,6 +24,7 @@ needs around it:
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ReproError
+from ..sim.replay import DataflowEvent
 from .builders import build_program_cli, build_sharded_cli
+
+#: resident bytes of one journal record: every record is a
+#: :class:`~repro.sim.replay.DataflowEvent` of the same fixed arity
+EVENT_BYTES = sys.getsizeof(DataflowEvent(0, "", "", "", None))
 
 #: first words of commands that advance execution (the ones a quota-
 #: exhausted session refuses; inspection stays available for post-mortem)
@@ -90,14 +96,14 @@ class SessionQuota:
 
 def journal_bytes(session) -> int:
     """The session's journal footprint: exact compressed bytes for
-    rotated segments, plus a flat per-record estimate for the resident
-    tail (records are small fixed tuples; precision is not the point —
-    the quota is a guard rail, not an invoice)."""
+    rotated segments, plus the tuple size of each resident record (the
+    fields are mostly shared strings, not charged; the quota is a guard
+    rail, not an invoice)."""
     replay = getattr(session, "replay", None)
     master = replay.master if replay is not None else None
     if master is None:
         return 0
-    total = len(master.events) * 48
+    total = len(master.events) * EVENT_BYTES
     segments = getattr(master, "segments", None)
     if segments is not None:
         total += segments.total_bytes

@@ -198,6 +198,7 @@ class ReplayJournal:
         #: kept in memory even when the log itself rotates.
         self.state_snapshots: Dict[int, Any] = {}
         self._total = 0
+        self._tokens = 0
         self._max_seq: Optional[int] = None
         self._cp_by_dispatch: Dict[int, Checkpoint] = {}
 
@@ -207,6 +208,13 @@ class ReplayJournal:
     def total_events(self) -> int:
         """Lifetime event count (positions run 1..total_events)."""
         return self._total
+
+    @property
+    def tokens_recorded(self) -> int:
+        """Lifetime count of token productions (``TOKEN_EVENT``s with a
+        seq) — ``len(token_stream())`` without streaming the journal, and
+        still counting events a cap/ring bound has since evicted."""
+        return self._tokens
 
     @property
     def max_seq_recorded(self) -> Optional[int]:
@@ -235,6 +243,8 @@ class ReplayJournal:
         if seq is not None:
             if self._max_seq is None or seq > self._max_seq:
                 self._max_seq = seq
+            if (ev.symbol, ev.phase) == TOKEN_EVENT:
+                self._tokens += 1
             if ev.link:
                 # first note wins: the push that minted the seq
                 self.token_links.setdefault(seq, ev.link)

@@ -12,7 +12,8 @@ of everything that defines a dataflow machine at a dispatch boundary:
   (:meth:`~repro.pedf.runtime.PedfRuntime.capture_state`);
 - optionally the **interpreter frames** of each busy actor
   (:meth:`~repro.cminus.interp.Interpreter.capture_frames`).  Frames are
-  *tier-variant* — the compiled tier keeps no Frame objects — so they
+  *tier-variant* — at a batched-Delay flush the bytecode tier has not
+  yet moved a frame to the boundary's line, the tree tier has — so they
   are excluded from journal-recorded snapshots (journals must be
   byte-identical across tiers) and only used to fingerprint a specific
   live machine, e.g. a parked resident snapshot.

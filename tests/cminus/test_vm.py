@@ -1,6 +1,6 @@
 """The register-machine bytecode tier: compiler, assembler, emulator.
 
-Complements the three-way differential suite in test_compile_tiers.py
+Complements the two-way differential suite in test_compile_tiers.py
 with ISA-level checks: assembler/disassembler round-trips, the ``brk``
 break instruction, per-opcode cycle telemetry and the register-state
 debugging surface.
@@ -37,7 +37,7 @@ S32 checksum(S32 n) {
 """
 
 
-def build(source, tier="vm", fn=None):
+def build(source, tier="auto", fn=None):
     prog = parse_program(source, "<vm>")
     info = analyze(prog, None, source)
     interp = Interpreter(prog, info, env=NullEnvironment())
@@ -75,6 +75,28 @@ def test_unsupported_function_fails_gracefully():
     vu = vm_unit(prog)
     assert vu.supports("user")
     assert run(interp, "user", (9,)) == run(build(src, "slow")[1], "user", (9,))
+
+
+def test_call_to_unlowered_callee_descends_to_the_tree(monkeypatch):
+    """A VM ``call`` whose callee is absent from the unit runs that callee
+    on the tree interpreter, one step down, and nothing else."""
+    src = CHECKSUM + "\nS32 user(S32 x) { return checksum(x); }\n"
+    prog, interp = build(src)
+    vu = vm_unit(prog)
+    vu.funcs.pop("helper")  # as if the compiler had failed on it
+    vu.failed["helper"] = "simulated"
+    interp._vm_unit = vu
+    tree_calls = []
+    call_user = Interpreter._call_user
+
+    def recording(self, func, args, call_line):
+        tree_calls.append(func.name)
+        return call_user(self, func, args, call_line)
+
+    monkeypatch.setattr(Interpreter, "_call_user", recording)
+    got = run(interp, "user", (9,))
+    assert tree_calls == ["helper"] * 9
+    assert got == run(build(src, "slow")[1], "user", (9,))
 
 
 # --------------------------------------------------------- asm round-trip
@@ -221,7 +243,6 @@ def test_opcode_cycles_do_not_change_timed_stream():
         prog = parse_program(CHECKSUM, "<vm>")
         info = analyze(prog, None, CHECKSUM)
         interp = Interpreter(prog, info, env=NullEnvironment(), timed=True)
-        interp.tier = "vm"
         if hook is not None:
             interp.hook = hook
             interp.refresh_hook_caps()

@@ -164,7 +164,7 @@ def test_deep_snapshots_recorded_and_verified_on_replay():
 
 def test_journal_snapshots_are_tier_invariant():
     """Deep snapshots carry no interpreter frames, so the recorded states
-    must be byte-identical between the slow and compiled tiers."""
+    must be byte-identical between the slow and bytecode tiers."""
     snaps = {}
     for tier in ("auto", "slow"):
         session = rle_session(tier)

@@ -1,4 +1,4 @@
-"""Cross-tier determinism: compiled and interpreted Filter-C tiers must
+"""Cross-tier determinism: bytecode and interpreted Filter-C tiers must
 be indistinguishable to the record/replay machinery.
 
 Batched Delay flushes are structural, so both tiers issue byte-identical
@@ -53,18 +53,16 @@ def journal_fingerprint(journal):
 
 
 def test_journal_fingerprints_identical_across_tiers():
-    _, compiled = record_run("auto")
+    _, bytecode = record_run("auto")
     _, interpreted = record_run("slow")
-    _, bytecode = record_run("vm")
-    assert compiled.token_stream(), "run produced no tokens"
-    assert compiled.checkpoints, "run crossed no checkpoint boundary"
-    assert journal_fingerprint(compiled) == journal_fingerprint(interpreted)
+    assert bytecode.token_stream(), "run produced no tokens"
+    assert bytecode.checkpoints, "run crossed no checkpoint boundary"
     assert journal_fingerprint(bytecode) == journal_fingerprint(interpreted)
 
 
 def test_framework_event_streams_identical_across_tiers():
     streams = {}
-    for tier in ("auto", "vm", "slow"):
+    for tier in ("auto", "slow"):
         session = fresh_session(tier)
         seen = []
         session.dbg.runtime.bus.subscribe(
@@ -78,13 +76,12 @@ def test_framework_event_streams_identical_across_tiers():
         assert run_to_exit(session.dbg).kind == StopKind.EXITED
         streams[tier] = seen
     assert streams["auto"] == streams["slow"]
-    assert streams["vm"] == streams["slow"]
     assert streams["auto"], "no framework events observed"
 
 
 @pytest.mark.parametrize(
     "record_tier,replay_tier",
-    [("auto", "slow"), ("slow", "auto"), ("vm", "slow"), ("auto", "vm")],
+    [("auto", "slow"), ("slow", "auto")],
 )
 def test_record_one_tier_replay_on_the_other(record_tier, replay_tier):
     """The determinism self-check compares every recorded event and every
@@ -133,10 +130,9 @@ def _amodule_fingerprint(tier):
 
 
 def test_amodule_journal_fingerprints_identical_across_tiers():
-    prints = {tier: _amodule_fingerprint(tier) for tier in ("auto", "vm", "slow")}
+    prints = {tier: _amodule_fingerprint(tier) for tier in ("auto", "slow")}
     assert prints["auto"][0][0], "run produced no tokens"
     assert prints["auto"] == prints["slow"]
-    assert prints["vm"] == prints["slow"]
 
 
 def _synthetic_fingerprint(tier):
@@ -158,6 +154,5 @@ def _synthetic_fingerprint(tier):
 def test_synthetic_1000_actor_fingerprints_identical_across_tiers():
     """The headline 1000-actor fabric produces a byte-identical push
     stream no matter which execution tier runs the Filter-C bodies."""
-    prints = {tier: _synthetic_fingerprint(tier) for tier in ("auto", "vm", "slow")}
+    prints = {tier: _synthetic_fingerprint(tier) for tier in ("auto", "slow")}
     assert prints["auto"] == prints["slow"]
-    assert prints["vm"] == prints["slow"]

@@ -1,12 +1,11 @@
-"""Deoptimization of the compiled Filter-C tier under the debugger.
+"""Deoptimization of the Filter-C bytecode tier under the debugger.
 
 The §V mechanism applied to the substrate: with nothing armed, actors
-run the closure-compiled tier; arming any statement/call/return
-breakpoint pushes the capability change to every live interpreter
-*immediately* (not one dispatch late) and the compiled tier falls back
-into the resumable interpreter at the next statement boundary — so a
-breakpoint planted while a compiled WORK body is mid-flight still hits
-on the right line with a full backtrace.
+run the bytecode VM; arming any statement/call/return breakpoint pushes
+the capability change to every live interpreter *immediately* (not one
+dispatch late) and the VM descends into the resumable interpreter at
+the next statement boundary — so a breakpoint planted while a VM WORK
+body is mid-flight still hits on the right line with a full backtrace.
 """
 
 from repro.dbg import StopKind
@@ -52,7 +51,7 @@ def test_overlapping_arms_keep_interpreters_deoptimized():
 
 
 def test_data_breakpoints_do_not_deoptimize():
-    """API/catch breakpoints ride the event bus — the compiled tier keeps
+    """API/catch breakpoints ride the event bus — the bytecode tier keeps
     running (that is the whole point of actor-specific capture)."""
     dbg, runtime, _, _ = make_session([1, 2])
     dbg.break_api(SYM_POP, phase="entry")
@@ -60,22 +59,23 @@ def test_data_breakpoints_do_not_deoptimize():
 
 
 def test_breakpoint_armed_mid_compiled_work_deopts_and_hits():
-    """Arm a source breakpoint while a *compiled* WORK body is suspended
+    """Arm a source breakpoint while a *bytecode* WORK body is suspended
     mid-function: execution must deopt and stop on the right line with a
     correct backtrace."""
     dbg, runtime, _, sink = make_session([5, 6])
 
     # stop inside WORK at a genuine blocking point (a pop api event)
-    # without arming any statement capability — WORK runs compiled
+    # without arming any statement capability — WORK runs on the VM
     api_bp = dbg.break_api(SYM_POP, phase="entry", actor="AModule.filter_1")
     ev = dbg.run()
     assert ev.kind == StopKind.API_BP
     actor = dbg.selected_actor
     assert actor is not None and actor.interp is not None
     interp = actor.interp
-    assert interp._fast_ok, "tier should still be compiled at an api stop"
-    assert interp._compiled is not None, "compiled tier never engaged"
+    assert interp._fast_ok, "tier should still be bytecode at an api stop"
+    assert interp._vm_unit is not None, "bytecode tier never engaged"
     assert interp.frames, "stopped mid-WORK, a frame must be live"
+    assert getattr(interp.frame, "vm", None) is not None, "WORK is not on the VM"
 
     # now plant a source breakpoint further down the same WORK body
     dbg.delete(api_bp.id)
@@ -98,7 +98,7 @@ def test_breakpoint_armed_mid_compiled_work_deopts_and_hits():
 
 def test_deopt_reoptimizes_after_disarm():
     """After the breakpoint is deleted, the next WORK activation returns
-    to the compiled tier."""
+    to the bytecode tier."""
     dbg, runtime, _, sink = make_session([3, 4])
     bp = dbg.break_source(f"the_source.c:{LINE_READ_INPUT}")
     ev = dbg.run()
@@ -109,5 +109,5 @@ def test_deopt_reoptimizes_after_disarm():
     assert interp._fast_ok
     while not dbg.finished:
         dbg.cont()
-    assert interp._compiled is not None, "fast tier did not re-engage"
+    assert interp._vm_unit is not None, "fast tier did not re-engage"
     assert len(sink.values) == 2

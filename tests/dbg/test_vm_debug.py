@@ -1,9 +1,9 @@
 """The bytecode tier under the debugger: ISA surface and tier descent.
 
-Mirrors test_deopt.py for the third tier: ISA breakpoints, register
-watchpoints and ``stepi`` ride CAP_ISA (never deoptimizing), while
-statement-level arming forces the generalized vm → closure → tree
-descent mid-function with correct lines and backtraces.
+The default tier is the VM: ISA breakpoints, register watchpoints and
+``stepi`` ride CAP_ISA (never deoptimizing), while statement-level
+arming forces the vm → tree descent mid-function with correct lines and
+backtraces.
 """
 
 from repro.dbg import StopKind
@@ -14,11 +14,9 @@ from .util import LINE_PUSH, LINE_READ_INPUT, WORK_F1, make_session
 
 
 def make_vm_session(values=(1, 2, 3, 4)):
+    """A session on the default tier, which runs the bytecode VM."""
     dbg, runtime, source, sink = make_session(values)
-    runtime.config.interp_tier = "vm"
-    for a in runtime.all_actors():
-        if getattr(a, "interp", None) is not None:
-            a.interp.tier = "vm"
+    assert runtime.config.interp_tier == "auto"
     return dbg, runtime, source, sink
 
 

@@ -93,7 +93,7 @@ def _sharded_amodule(n_shards, tier):
 # ------------------------------------------------ canonical byte-identity
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_rle_canonical_matches_single_kernel(tier, n_shards):
     single = aggregate_journal(_single_rle(tier).replay.master)
@@ -103,7 +103,7 @@ def test_rle_canonical_matches_single_kernel(tier, n_shards):
     assert sharded.canonical_fingerprint() == single.canonical_fingerprint()
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_amodule_canonical_matches_single_kernel(tier, n_shards):
     single = aggregate_journal(_single_amodule(tier).replay.master)
@@ -115,10 +115,10 @@ def test_amodule_canonical_matches_single_kernel(tier, n_shards):
 
 def test_canonical_projection_is_tier_invariant():
     """The projection only contains order-determined quantities, so the
-    closure and bytecode tiers must agree line for line too."""
+    bytecode and tree tiers must agree line for line too."""
     assert (
         aggregate_journal(_single_rle("auto").replay.master).canonical_lines()
-        == aggregate_journal(_single_rle("vm").replay.master).canonical_lines()
+        == aggregate_journal(_single_rle("slow").replay.master).canonical_lines()
     )
 
 

@@ -59,7 +59,7 @@ def test_profiler_off_by_default_and_armed_on_enable():
 # --------------------------------------------------- attribution exactness
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 def test_profile_total_equals_flushed_cycles(tier):
     session = rle_session(tier=tier)
     session.prof.enable()
@@ -77,7 +77,7 @@ def test_profile_total_equals_flushed_cycles(tier):
 
 
 @pytest.mark.parametrize(
-    "tier,label", [("auto", "compiled"), ("vm", "vm"), ("slow", "tree")]
+    "tier,label", [("auto", "vm"), ("slow", "tree")]
 )
 def test_tier_attribution_labels(tier, label):
     session = rle_session(tier=tier)
@@ -104,7 +104,7 @@ def test_profile_attributes_to_known_actors_and_functions():
 # ---------------------------------------------------- replay-side deriving
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 def test_derived_profile_equals_live_profile(tier):
     session = rle_session(tier=tier)
     session.replay.record_on()

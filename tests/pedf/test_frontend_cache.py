@@ -3,7 +3,7 @@
 Replay re-executions and timeline forks rebuild the whole application
 from scratch — the cache makes the second and every later rebuild reuse
 the analyzed program, and lets every instance of one source share it and
-its tier units (memoized per Program object).
+its bytecode unit (memoized per Program object).
 """
 
 import pytest
@@ -101,12 +101,10 @@ def test_clear_resets_everything():
 def test_clear_drops_shared_programs_and_tier_units():
     """A cleared cache is a true cold launch: no program, tier unit or
     debug-info view compiled before it is handed out again."""
-    from repro.cminus.compile import compiled_unit
     from repro.cminus.vm.compiler import vm_unit
 
     d1 = make_decl()
     compile_actor(d1, make_module())
-    compiled_unit(d1.cprogram)
     vm_unit(d1.cprogram)
     frontend_cache.clear()
     d2 = make_decl()
@@ -114,7 +112,6 @@ def test_clear_drops_shared_programs_and_tier_units():
     assert frontend_cache.misses == 1
     assert d2.cprogram is not d1.cprogram
     assert d2.debug_info is not d1.debug_info
-    assert getattr(d2.cprogram, "_compiled_unit_cache", None) is None
     assert getattr(d2.cprogram, "_vm_unit_cache", None) is None
 
 

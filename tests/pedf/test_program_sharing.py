@@ -1,7 +1,7 @@
 """Actors compiled from one source share one analysed program.
 
 Mangling (paper §VI-F) is a per-actor symbol map, so two instances of
-one source share the Program, its tier units and the canonical debug
+one source share the Program, its bytecode unit and the canonical debug
 info — yet every name a user sees stays the instance's own: breakpoints,
 backtraces, ISA locations, ``disas`` listings and profiler call paths.
 Mutable globals stay per instance (interpreters copy them at init).
@@ -132,6 +132,25 @@ def test_two_instances_share_one_program_but_keep_their_symbols():
     assert alpha.decl.debug_info.sources is beta.decl.debug_info.sources
 
 
+def test_auto_and_slow_runs_share_one_program():
+    """The tier is not part of the front-end key: a slow run reuses the
+    Program an auto run built, and the lazily memoized bytecode unit on
+    it is consulted only by the auto tier."""
+    _sched, auto_rt, auto_sink = build_twins()
+    misses = frontend_cache.misses
+    _sched, slow_rt, slow_sink = build_twins(tier="slow")
+    assert frontend_cache.misses == misses
+    auto_alpha, _ = _filters(auto_rt)
+    slow_alpha, _ = _filters(slow_rt)
+    assert slow_alpha.decl.cprogram is auto_alpha.decl.cprogram
+    _run_to_exit(Debugger(auto_rt.scheduler, auto_rt))
+    _run_to_exit(Debugger(slow_rt.scheduler, slow_rt))
+    assert [t.value for t in auto_sink.received] == EXPECTED
+    assert [t.value for t in slow_sink.received] == EXPECTED
+    assert auto_alpha.interp._vm_unit is not None
+    assert slow_alpha.interp._vm_unit is None
+
+
 def test_mutable_global_stays_per_instance():
     sched, runtime, sink = build_twins()
     _run_to_exit(Debugger(sched, runtime))
@@ -182,7 +201,7 @@ def test_finish_reports_the_instance_symbol():
 
 
 def test_vm_breaki_and_disas_resolve_per_instance():
-    sched, runtime, sink = build_twins(tier="vm")
+    sched, runtime, sink = build_twins()
     dbg = Debugger(sched, runtime)
     cli = CommandCli(dbg)
     assert cli.execute(f"breaki {ALPHA_WORK}+0") == [f"ISA breakpoint 1 at {ALPHA_WORK}+0"]
@@ -216,7 +235,7 @@ def test_vm_breaki_and_disas_resolve_per_instance():
 
 
 def test_vm_register_watchpoint_is_per_instance():
-    sched, runtime, _sink = build_twins(tier="vm")
+    sched, runtime, _sink = build_twins()
     dbg = Debugger(sched, runtime)
     cli = CommandCli(dbg)
     assert cli.execute("rwatch BetaFilter_bump r0") == [
@@ -239,7 +258,7 @@ def test_profiler_paths_carry_mangled_names():
     assert ("m.beta", (BETA_WORK, "BetaFilter_bump")) in paths
     assert not any(name in ("work", "bump") for _a, path in paths for name in path)
     folded = "\n".join(session.prof.profile.collapsed())
-    assert f"m.alpha;compiled;{ALPHA_WORK};AlphaFilter_bump" in folded
+    assert f"m.alpha;vm;{ALPHA_WORK};AlphaFilter_bump" in folded
 
 
 # --------------------------------------------------------- synthetic graph
@@ -277,8 +296,8 @@ def _tier_fingerprint(tier):
 
 
 def test_shared_programs_agree_across_tiers_and_the_process_pool():
-    prints = {tier: _tier_fingerprint(tier) for tier in ("slow", "auto", "vm")}
-    assert prints["slow"] == prints["auto"] == prints["vm"]
+    prints = {tier: _tier_fingerprint(tier) for tier in ("slow", "auto")}
+    assert prints["slow"] == prints["auto"]
 
     program = build_synthetic_program(
         chains=SMALL["chains"],

@@ -66,7 +66,7 @@ def rendered(verdicts):
     return "\n".join(line for v in verdicts for line in v.render())
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("app", ["rle", "amodule"])
 def test_live_and_derived_verdicts_byte_identical(app, tier):
     session = BUILDERS[app](tier)
@@ -99,7 +99,7 @@ def test_derivation_alone_judges_a_plain_recorded_run():
     assert 0 < verdicts[0].index <= session.replay.master.total_events
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 def test_h264_rate_mismatch_verdict_identity_and_relocalization(tier):
     """The seeded h264 rate bug: the live ``mark`` verdict, the derived
     verdict, and the ``replay to event N`` landing must all agree."""
@@ -135,7 +135,7 @@ def test_h264_rate_mismatch_verdict_identity_and_relocalization(tier):
     assert mgr.recorder.divergence is None
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
+@pytest.mark.parametrize("tier", ["auto", "slow"])
 def test_dropped_token_deadlock_verdict_identity(tier):
     """Deadlock stop analysis reconstructs identical wait-for verdicts
     live (stop callback) and from the journal's stop records."""

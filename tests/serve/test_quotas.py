@@ -1,6 +1,8 @@
 """Per-session quotas: structured errors, run-control refusal with
 inspection still allowed, and the mid-command wall-clock watchdog."""
 
+import sys
+
 import pytest
 
 from repro.errors import ReproError
@@ -63,6 +65,21 @@ def test_max_journal_bytes(registry):
     with pytest.raises(QuotaExceeded) as exc:
         handle.execute("continue")
     assert exc.value.quota == "max_journal_bytes"
+
+
+def test_journal_bytes_charges_every_resident_record(registry, tmp_path):
+    """The estimate never undercounts: each resident record costs at least
+    its own tuple, and rotated segments their exact on-disk bytes."""
+    handle = registry.create("rle", values=[1 + (i % 5) for i in range(200)])
+    handle.execute(f"record on segments {tmp_path} window 64")
+    assert handle.execute("run").ok
+    while not handle.session.dbg.finished:
+        assert handle.execute("continue").ok
+    master = handle.session.replay.master
+    assert master.segments.segments, "run never rotated a segment"
+    assert len(master.events) > 0
+    resident = sum(sys.getsizeof(r) for r in master.events)
+    assert journal_bytes(handle.session) >= resident + master.segments.total_bytes
 
 
 def test_wall_clock_watchdog_interrupts_mid_command(registry):
